@@ -67,6 +67,7 @@ func main() {
 	defer os.RemoveAll(dir)
 
 	h := e2e.New(dir)
+	defer h.Close() // joins the run before the directory is removed
 	dataset, err := h.Synthesize(sp)
 	if err != nil {
 		log.Fatal(err)

@@ -475,13 +475,7 @@ func (c *Context) Improvements(nd *dataset.NetworkData, rate int, v routing.Vari
 		if err != nil {
 			return nil, err
 		}
-		out := make(map[impKey][]routing.PairResult, 2*len(ms))
-		for _, variant := range []routing.Variant{routing.ETX1, routing.ETX2} {
-			for ri, m := range ms {
-				out[impKey{rate: ri, variant: variant}] = routing.Improvements(m, variant)
-			}
-		}
-		return out, nil
+		return improvementSweep(ms), nil
 	})
 	if err != nil {
 		return nil, err

@@ -17,6 +17,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"meshlab/internal/conc"
@@ -96,20 +97,40 @@ func (d *streamDerived) netImprovements(nd *dataset.NetworkData, rate int, v rou
 		if err != nil {
 			d.impsErr = err
 		} else {
-			// All (rate, variant) pairs in one pass, mirroring
-			// Context.Improvements: the §5 figures sweep every pair anyway.
-			d.imps = make(map[impKey][]routing.PairResult, 2*len(ms))
-			for _, variant := range []routing.Variant{routing.ETX1, routing.ETX2} {
-				for ri, m := range ms {
-					d.imps[impKey{rate: ri, variant: variant}] = routing.Improvements(m, variant)
-				}
-			}
+			// All (rate, variant) pairs at once, as Context.Improvements
+			// does: the §5 figures sweep every pair anyway.
+			d.imps = improvementSweep(ms)
 		}
 	}
 	if d.impsErr != nil {
 		return nil, d.impsErr
 	}
 	return d.imps[impKey{rate: rate, variant: v}], nil
+}
+
+// improvementSweep computes a network's opportunistic-routing comparison
+// for every (rate, ETX variant) pair of its success matrices. The
+// 2 × |rates| routing.Improvements calls are independent, so they fan out
+// across the process worker budget and are assembled by index: the result
+// is identical at any budget, and `-workers 1` runs them serially. On the
+// largest networks this sweep is the pipeline's critical path.
+func improvementSweep(ms map[int]routing.Matrix) map[impKey][]routing.PairResult {
+	rates := make([]int, 0, len(ms))
+	for ri := range ms {
+		rates = append(rates, ri)
+	}
+	sort.Ints(rates)
+	variants := []routing.Variant{routing.ETX1, routing.ETX2}
+	res := make([][]routing.PairResult, len(variants)*len(rates))
+	_ = conc.ForEach(len(res), func(i int) error {
+		res[i] = routing.Improvements(ms[rates[i%len(rates)]], variants[i/len(rates)])
+		return nil
+	})
+	out := make(map[impKey][]routing.PairResult, len(res))
+	for i, prs := range res {
+		out[impKey{rate: rates[i%len(rates)], variant: variants[i/len(rates)]}] = prs
+	}
+	return out
 }
 
 func (d *streamDerived) netHidden(nd *dataset.NetworkData, threshold float64) (*hidden.NetworkResult, error) {

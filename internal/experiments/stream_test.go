@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"meshlab/internal/conc"
 	"meshlab/internal/dataset"
 	"meshlab/internal/hidden"
+	"meshlab/internal/routing"
 	"meshlab/internal/snr"
 )
 
@@ -188,6 +191,39 @@ func TestSampleIDs(t *testing.T) {
 		}
 		if a.Format() != b.Format() {
 			t.Fatalf("%s diverges between sample-only and full context", id)
+		}
+	}
+}
+
+// TestImprovementSweepBudgetOracle: the per-network improvement sweep
+// fans its (rate, variant) calls across the worker budget; the assembled
+// comparisons must be byte-identical at budget 1 and 4, and equal to the
+// plain serial loop over every pair.
+func TestImprovementSweepBudgetOracle(t *testing.T) {
+	defer conc.SetBudget(0)
+	var largest *dataset.NetworkData
+	for _, nd := range quickFleet(t).ByBand("bg") {
+		if largest == nil || len(nd.Info.APs) > len(largest.Info.APs) {
+			largest = nd
+		}
+	}
+	ms, err := routing.SuccessMatrices(largest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(imps map[impKey][]routing.PairResult) string {
+		return fmt.Sprintf("%v", imps) // fmt prints map keys sorted
+	}
+	want := make(map[impKey][]routing.PairResult)
+	for _, v := range []routing.Variant{routing.ETX1, routing.ETX2} {
+		for ri, m := range ms {
+			want[impKey{rate: ri, variant: v}] = routing.Improvements(m, v)
+		}
+	}
+	for _, budget := range []int{1, 4} {
+		conc.SetBudget(budget)
+		if got := render(improvementSweep(ms)); got != render(want) {
+			t.Fatalf("improvement sweep at budget %d diverges from the serial loop", budget)
 		}
 	}
 }

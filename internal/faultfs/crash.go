@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 )
 
@@ -30,7 +31,8 @@ var ErrKilled = errors.New("faultfs: injected kill")
 //
 // The zero value is inert. A CrashPlan fires at most once; it is safe
 // for concurrent use by parallel shard workers (whichever worker reaches
-// the kill point first takes the hit).
+// the kill point first takes the hit; a mid-rename tear kills the worker
+// that tore, once its rename of that file lands).
 type CrashPlan struct {
 	mu sync.Mutex
 	// KillAt is the phase that triggers the kill ("" disables).
@@ -47,6 +49,7 @@ type CrashPlan struct {
 
 	hits     int
 	armedTor bool
+	tornTmp  string // the torn temp file, while armedTor
 	fired    bool
 }
 
@@ -59,8 +62,10 @@ func (p *CrashPlan) Hook(phase, path string) error {
 		return nil
 	}
 	if p.armedTor {
-		// The tear landed; let the rename itself complete, then kill.
-		if phase == "renamed" {
+		// The tear landed; let the rename itself complete, then kill —
+		// the rename of the torn file, not another shard's, which would
+		// leave the torn writer running past its tear.
+		if phase == "renamed" && strings.HasPrefix(p.tornTmp, path+".tmp-") {
 			p.fired = true
 			return fmt.Errorf("%w (torn at %s)", ErrKilled, p.KillAt)
 		}
@@ -80,7 +85,7 @@ func (p *CrashPlan) Hook(phase, path string) error {
 		if err := p.tear(path); err != nil {
 			return err
 		}
-		p.armedTor = true
+		p.armedTor, p.tornTmp = true, path
 		return nil
 	}
 	p.fired = true

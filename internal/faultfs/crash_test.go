@@ -107,6 +107,28 @@ func TestCrashPlanMidRenameTearsThenKills(t *testing.T) {
 	})
 }
 
+// TestCrashPlanMidRenameKillsTheTearingWriter: with concurrent writers,
+// another file's rename after the tear does not take the kill — only the
+// rename of the torn file does — so the torn file is always the writer's
+// last word, never overwritten by a writer that kept running.
+func TestCrashPlanMidRenameKillsTheTearingWriter(t *testing.T) {
+	dir := t.TempDir()
+	plan := &CrashPlan{KillAt: "mid-rename", Torn: 1}
+	tmp := filepath.Join(dir, "shard-0.ckpt.tmp-7")
+	if err := os.WriteFile(tmp, []byte("checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.Hook("mid-rename", tmp); err != nil {
+		t.Fatalf("tear: %v", err)
+	}
+	if err := plan.Hook("renamed", filepath.Join(dir, "shard-1.ckpt")); err != nil || plan.Fired() {
+		t.Fatalf("another writer's rename took the kill (err %v)", err)
+	}
+	if err := plan.Hook("renamed", filepath.Join(dir, "shard-0.ckpt")); !errors.Is(err, ErrKilled) || !plan.Fired() {
+		t.Fatalf("torn file's rename: err %v, want ErrKilled", err)
+	}
+}
+
 func TestCrashPlanSkipTargetsLaterWrite(t *testing.T) {
 	content := []byte("checkpoint file bytes")
 	dir := t.TempDir()

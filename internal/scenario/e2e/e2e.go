@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"meshlab"
@@ -36,6 +37,9 @@ type Harness struct {
 	// Workers bounds synthesis and streaming parallelism (≤ 0: the
 	// process budget).
 	Workers int
+
+	mu   sync.Mutex
+	runs []*Run // every run Start launched, joined by Close
 }
 
 // New returns a Harness rooted at dir with default pacing.
@@ -177,9 +181,36 @@ type Run struct {
 // after done closes).
 func (r *Run) Err() error { return r.err }
 
+// Wait blocks until the run's goroutine has returned — its artifact, if
+// any, is published by then — and reports the run's failure. Convergence
+// (WaitConverged) can precede it: a run may publish and keep working.
+func (r *Run) Wait() error {
+	<-r.done
+	return r.err
+}
+
+// Close joins every run Start launched on this harness and returns the
+// first failure among them, in start order. Callers that own the
+// harness's directory close it before removing the directory, so no run
+// writes into it afterwards.
+func (h *Harness) Close() error {
+	h.mu.Lock()
+	runs := h.runs
+	h.runs = nil
+	h.mu.Unlock()
+	var first error
+	for _, r := range runs {
+		if err := r.Wait(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
 // Start launches a variant in the background. The goroutine runs the
 // suite, renders the deterministic Report, and publishes it atomically
-// at r.Artifact — existence of the artifact is convergence.
+// at r.Artifact — existence of the artifact is convergence. Close (or
+// the run's Wait) joins the goroutine.
 func (h *Harness) Start(sp *scenario.Spec, dataset string, v Variant) *Run {
 	r := &Run{
 		Scenario: sp.Name,
@@ -187,6 +218,9 @@ func (h *Harness) Start(sp *scenario.Spec, dataset string, v Variant) *Run {
 		Artifact: filepath.Join(h.Dir, sp.Name+"."+v.Name+".report"),
 		done:     make(chan struct{}),
 	}
+	h.mu.Lock()
+	h.runs = append(h.runs, r)
+	h.mu.Unlock()
 	go func() {
 		defer close(r.done)
 		results, err := v.run(h, sp, dataset)

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -43,6 +44,20 @@ func tinySpec(t *testing.T) *scenario.Spec {
 	return sp
 }
 
+// newHarness returns a fast-polling harness over a fresh temp dir. Its
+// cleanup joins every run the test started, so no run goroutine writes
+// into the directory while the temp-dir cleanup (registered earlier,
+// so run later) removes it. Tests that block a run release it in a
+// defer, which runs before any cleanup. Run failures are the tests' own
+// to check through WaitConverged.
+func newHarness(t *testing.T) *Harness {
+	t.Helper()
+	h := New(t.TempDir())
+	h.PollInterval = time.Millisecond
+	t.Cleanup(func() { _ = h.Close() })
+	return h
+}
+
 // fakeVariant builds a Variant around an arbitrary run function —
 // the white-box hook that lets these tests drive the polling machinery
 // without paying for a real suite run.
@@ -62,8 +77,7 @@ func fakeResults() []*meshlab.Result {
 // TestWaitConvergedSuccess: a variant that finishes publishes its
 // artifact atomically and WaitConverged returns exactly those bytes.
 func TestWaitConvergedSuccess(t *testing.T) {
-	h := New(t.TempDir())
-	h.PollInterval = time.Millisecond
+	h := newHarness(t)
 	sp := tinySpec(t)
 	v := fakeVariant("ok", func(h *Harness, sp *scenario.Spec, dataset string) ([]*meshlab.Result, error) {
 		return fakeResults(), nil
@@ -89,8 +103,7 @@ func TestWaitConvergedSuccess(t *testing.T) {
 // WaitConverged (wrapped with the scenario/variant identity) instead of
 // polling until timeout.
 func TestWaitConvergedRunError(t *testing.T) {
-	h := New(t.TempDir())
-	h.PollInterval = time.Millisecond
+	h := newHarness(t)
 	boom := errors.New("suite exploded")
 	r := h.Start(tinySpec(t), "unused.bin", fakeVariant("bad",
 		func(h *Harness, sp *scenario.Spec, dataset string) ([]*meshlab.Result, error) {
@@ -115,8 +128,7 @@ func TestWaitConvergedRunError(t *testing.T) {
 // forever, no artifact) trips the harness timeout with a contextual
 // error rather than hanging.
 func TestWaitConvergedTimeout(t *testing.T) {
-	h := New(t.TempDir())
-	h.PollInterval = time.Millisecond
+	h := newHarness(t)
 	h.Timeout = 50 * time.Millisecond
 	release := make(chan struct{})
 	defer close(release)
@@ -141,8 +153,7 @@ func TestWaitConvergedTimeout(t *testing.T) {
 // variant that publishes its artifact out-of-band and then blocks still
 // converges.
 func TestConvergenceIsArtifactExistence(t *testing.T) {
-	h := New(t.TempDir())
-	h.PollInterval = time.Millisecond
+	h := newHarness(t)
 	sp := tinySpec(t)
 	published := Report(sp, fakeResults())
 	release := make(chan struct{})
@@ -165,13 +176,53 @@ func TestConvergenceIsArtifactExistence(t *testing.T) {
 	}
 }
 
+// TestCloseJoinsRuns: Close returns only once every started run's
+// goroutine has returned (its artifact published), and reports the
+// first run failure in start order; Wait does the same for one run.
+func TestCloseJoinsRuns(t *testing.T) {
+	h := newHarness(t)
+	sp := tinySpec(t)
+	boom := errors.New("second run failed")
+	release := make(chan struct{})
+	var finished atomic.Int32
+	slow := h.Start(sp, "unused.bin", fakeVariant("slow",
+		func(h *Harness, sp *scenario.Spec, dataset string) ([]*meshlab.Result, error) {
+			<-release
+			finished.Add(1)
+			return fakeResults(), nil
+		}))
+	h.Start(sp, "unused.bin", fakeVariant("failing",
+		func(h *Harness, sp *scenario.Spec, dataset string) ([]*meshlab.Result, error) {
+			finished.Add(1)
+			return nil, boom
+		}))
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		close(release)
+	}()
+	if err := h.Close(); !errors.Is(err, boom) {
+		t.Fatalf("Close = %v, want the failing run's error", err)
+	}
+	if n := finished.Load(); n != 2 {
+		t.Fatalf("Close returned with %d of 2 runs finished", n)
+	}
+	if _, err := os.Stat(slow.Artifact); err != nil {
+		t.Fatalf("slow run's artifact not published by Close: %v", err)
+	}
+	if err := slow.Wait(); err != nil {
+		t.Fatalf("Wait after Close = %v", err)
+	}
+	if err := h.Close(); err != nil {
+		t.Fatalf("second Close = %v, want nil (no runs left)", err)
+	}
+}
+
 // TestAtomicPublishNoTornReads hammers the artifact path with
 // concurrent readers while a run publishes: every read that succeeds
 // must see the complete report — the atomic temp+rename publish means
 // there is no window where a partial file is visible.
 func TestAtomicPublishNoTornReads(t *testing.T) {
-	h := New(t.TempDir())
-	h.PollInterval = time.Millisecond
+	h := newHarness(t)
 	sp := tinySpec(t)
 	// A large report makes a torn write (partial content visible under
 	// a non-atomic publish) overwhelmingly likely to be caught.

@@ -62,6 +62,87 @@ func ForEachSampleGroup(samples []Sample, fn func(group []Sample) error) error {
 	return nil
 }
 
+// linkGroups splits a chunk into its directed links (Link-scope table
+// instances), keeping each link's samples in chunk order. Chunks in
+// Flatten order hold each link as one contiguous run, so the key map is
+// consulted once per run, not per sample. The buffers are reused across
+// chunks.
+type linkGroups struct {
+	ids    map[instKey]int32
+	linkOf []int32 // sample index → link id
+	order  []int32 // sample indices, grouped by link
+	bounds []int32 // link l's samples are order[bounds[l]:bounds[l+1]]
+}
+
+// split groups a chunk and returns its link count.
+func (lg *linkGroups) split(group []Sample) int {
+	if lg.ids == nil {
+		lg.ids = make(map[instKey]int32)
+	}
+	clear(lg.ids)
+	lg.linkOf = resizeInt32(lg.linkOf, len(group))
+	var prev instKey
+	cur := int32(-1)
+	for i := range group {
+		if k := Link.instKey(&group[i]); cur < 0 || k != prev {
+			id, ok := lg.ids[k]
+			if !ok {
+				id = int32(len(lg.ids))
+				lg.ids[k] = id
+			}
+			cur, prev = id, k
+		}
+		lg.linkOf[i] = cur
+	}
+	// Counting sort by link id: stable, so each link keeps chunk order.
+	nl := len(lg.ids)
+	lg.bounds = resizeInt32(lg.bounds, nl+1)
+	clear(lg.bounds)
+	for _, l := range lg.linkOf {
+		lg.bounds[l+1]++
+	}
+	for l := 0; l < nl; l++ {
+		lg.bounds[l+1] += lg.bounds[l]
+	}
+	lg.order = resizeInt32(lg.order, len(group))
+	for i, l := range lg.linkOf {
+		lg.order[lg.bounds[l]] = int32(i)
+		lg.bounds[l]++
+	}
+	// The fill advanced every start to the next link's start; shift back.
+	copy(lg.bounds[1:], lg.bounds[:nl])
+	lg.bounds[0] = 0
+	return nl
+}
+
+// samples returns link l's sample indices from the last split.
+func (lg *linkGroups) samples(l int) []int32 {
+	return lg.order[lg.bounds[l]:lg.bounds[l+1]]
+}
+
+// snrSpan returns the lowest SNR among the indexed samples and the width
+// of their SNR range: the offset base and length of a link's dense
+// SNR-indexed state.
+func snrSpan(group []Sample, idx []int32) (lo, width int) {
+	lo, hi := group[idx[0]].SNR, group[idx[0]].SNR
+	for _, i := range idx[1:] {
+		if v := group[i].SNR; v < lo {
+			lo = v
+		} else if v > hi {
+			hi = v
+		}
+	}
+	return lo, hi - lo + 1
+}
+
+// resizeInt32 returns buf with length n, reallocating only to grow.
+func resizeInt32(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		return make([]int32, n)
+	}
+	return buf[:n]
+}
+
 // counted is a sorted, counted multiset of float64s: the exact empirical
 // distribution of a quantized sample in O(distinct values) memory. NaNs
 // are tracked separately and sort first, mirroring sort.Float64s.
@@ -72,22 +153,13 @@ type counted struct {
 	n    int64
 }
 
-// newCounted freezes a value→count histogram into its sorted counted form.
-func newCounted(m map[float64]int64, nan int64) *counted {
-	c := &counted{nan: nan, n: nan}
-	if len(m) > 0 {
-		c.vals = make([]float64, 0, len(m))
-		for v := range m {
-			c.vals = append(c.vals, v)
-		}
-		sort.Float64s(c.vals)
-		c.cum = make([]int64, len(c.vals))
-		run := nan
-		for i, v := range c.vals {
-			run += m[v]
-			c.cum[i] = run
-		}
-		c.n = run
+// newCounted freezes a histogram into its sorted counted form.
+func newCounted(h *diffHist) *counted {
+	c := &counted{nan: h.nan, n: h.nan}
+	c.vals, c.cum = h.sorted()
+	for i, n := range c.cum { // counts become running totals in place
+		c.n += n
+		c.cum[i] = c.n
 	}
 	return c
 }
@@ -158,25 +230,6 @@ func (d *Dist) Materialize() []float64 {
 	return out
 }
 
-// diffHist accumulates a value→count histogram with NaN tracking.
-type diffHist struct {
-	m   map[float64]int64
-	nan int64
-}
-
-func (h *diffHist) add(v float64, n int64) {
-	if math.IsNaN(v) {
-		h.nan += n
-		return
-	}
-	if h.m == nil {
-		h.m = make(map[float64]int64)
-	}
-	h.m[v] += n
-}
-
-func (h *diffHist) freeze() *Dist { return &Dist{c: *newCounted(h.m, h.nan)} }
-
 // PenaltyDist is one scope's chunked §4.3 outcome: the penalty
 // distribution in counted form plus the exact-hit fraction. It carries
 // the same information as PenaltyResult at table-sized memory.
@@ -240,7 +293,7 @@ type penaltyScopeState struct {
 	apCells  map[apCellKey]int32
 	apCounts []int64       // [cell*nr + ri] training counts
 	apBanks  [][]diffCount // [cell*nr + p]
-	dict     map[float64]int32
+	dict     f64Table      // penalty value → index into diffVals
 	diffVals []float64
 	nanID    int32
 
@@ -279,7 +332,6 @@ func NewPenaltyAccum(numRates int, scopes []Scope) *PenaltyAccum {
 			st.cells = make(map[int]*bankedCell)
 		case AP:
 			st.apCells = make(map[apCellKey]int32)
-			st.dict = make(map[float64]int32)
 		}
 		a.states = append(a.states, st)
 	}
@@ -392,10 +444,7 @@ func (a *PenaltyAccum) resolveCells(st *penaltyScopeState) {
 			}
 		}
 		st.exact += cell.counts[best]
-		for v, n := range cell.pend[best].m {
-			st.diffs.add(v, n)
-		}
-		st.diffs.nan += cell.pend[best].nan
+		st.diffs.merge(&cell.pend[best])
 	}
 	if len(st.cells) > 0 {
 		st.cells = make(map[int]*bankedCell)
@@ -411,13 +460,12 @@ func (st *penaltyScopeState) diffID(v float64) int32 {
 		}
 		return st.nanID
 	}
-	id, ok := st.dict[v]
-	if !ok {
-		id = int32(len(st.diffVals))
-		st.dict[v] = id
+	i, fresh := st.dict.slot(v)
+	if fresh {
+		st.dict.slots[i].v = int64(len(st.diffVals))
 		st.diffVals = append(st.diffVals, v)
 	}
-	return id
+	return int32(st.dict.slots[i].v)
 }
 
 // bankAP trains the current network's AP-scope cells and banks penalties
@@ -820,7 +868,7 @@ func (a *TputAccum) Finalize() []TputPoint {
 			if row == nil || row.n < int64(a.minObs) {
 				continue
 			}
-			c := newCounted(row.cells[ri].m, row.cells[ri].nan)
+			c := newCounted(&row.cells[ri])
 			// The batch form's interpolation: hi is lo+1 whenever a next
 			// element exists, even at integral positions. Replicated
 			// exactly so the emitted float64s match bit for bit.
@@ -889,6 +937,8 @@ func (a *RateSetAccum) Finalize() map[int][]int {
 type StrategyAccum struct {
 	numRates, maxX int
 	results        []StrategyResult
+	links          linkGroups
+	replay         strategyReplay
 }
 
 // NewStrategyAccum prepares an incremental Figure 4.6 / Table 4.1 run.
@@ -910,26 +960,19 @@ func NewStrategyAccum(numRates, maxX int) *StrategyAccum {
 // ObserveGroup replays one chunk through every strategy. The chunk
 // contract (see PenaltyAccum) guarantees links never split across
 // chunks, so every link's online table runs its full sequence here.
+// Links replay in first-appearance order: every reported field is an
+// integer sum over per-link replays, so link order cannot change the
+// result.
 func (a *StrategyAccum) ObserveGroup(group []Sample) {
-	byLink := make(map[string][]*Sample)
-	var keys []string
-	for i := range group {
-		k := Link.Key(&group[i])
-		if _, ok := byLink[k]; !ok {
-			keys = append(keys, k)
-		}
-		byLink[k] = append(byLink[k], &group[i])
+	if len(group) == 0 {
+		return
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		seq := byLink[k]
-		sort.SliceStable(seq, func(x, y int) bool { return seq[x].T < seq[y].T })
-	}
-	for si, st := range Strategies {
-		res := &a.results[si]
-		for _, k := range keys {
-			replayLink(res, st, byLink[k], a.numRates, a.maxX)
+	for l, nl := 0, a.links.split(group); l < nl; l++ {
+		seq := a.links.samples(l)
+		if !sort.SliceIsSorted(seq, func(x, y int) bool { return group[seq[x]].T < group[seq[y]].T }) {
+			sort.SliceStable(seq, func(x, y int) bool { return group[seq[x]].T < group[seq[y]].T })
 		}
+		a.replay.link(a.results, group, seq, a.numRates, a.maxX)
 	}
 }
 
@@ -940,12 +983,16 @@ func (a *StrategyAccum) Finalize() []StrategyResult { return a.results }
 
 // TopKAccum is the incremental core of TopKCoverage at Link scope (the
 // §4.5 extension): link cells are complete within every chunk (see
-// PenaltyAccum's chunk contract), so each chunk trains its own table,
-// evaluates its own samples, and is discarded.
+// PenaltyAccum's chunk contract), so each chunk trains its own links'
+// cells, evaluates its own samples, and discards them. A link's cells
+// are one dense SNR-offset × rate count block, reused across links, and
+// each sample is ranked once in its cell for every k at once.
 type TopKAccum struct {
 	numRates        int
 	ks              []int
 	hits, evaluated []int
+	links           linkGroups
+	counts          []int
 }
 
 // NewTopKAccum prepares an incremental top-k candidate-set run.
@@ -960,25 +1007,36 @@ func NewTopKAccum(numRates int, ks []int) *TopKAccum {
 
 // ObserveGroup trains on and evaluates one network's samples.
 func (a *TopKAccum) ObserveGroup(group []Sample) {
-	if len(group) == 0 {
+	if len(group) == 0 || a.numRates == 0 {
 		return
 	}
-	tbl := Train(group, a.numRates, Link)
-	for ki, k := range a.ks {
-		for i := range group {
+	nr := a.numRates
+	for l, nl := 0, a.links.split(group); l < nl; l++ {
+		idx := a.links.samples(l)
+		lo, width := snrSpan(group, idx)
+		if cap(a.counts) < width*nr {
+			a.counts = make([]int, width*nr)
+		}
+		counts := a.counts[:width*nr]
+		clear(counts)
+		for _, i := range idx {
 			s := &group[i]
-			cands, ok := tbl.TopK(s, k)
-			if !ok {
-				continue
-			}
-			a.evaluated[ki]++
-			for _, ri := range cands {
-				if ri == s.Popt {
+			counts[(s.SNR-lo)*nr+s.Popt]++
+		}
+		for _, i := range idx {
+			s := &group[i]
+			row := (s.SNR - lo) * nr
+			rank := optRank(counts[row:row+nr], s.Popt)
+			for ki, k := range a.ks {
+				if inTopK(rank, k) {
 					a.hits[ki]++
-					break
 				}
 			}
 		}
+	}
+	// In-sample, every sample's own cell exists: all are evaluated.
+	for ki := range a.ks {
+		a.evaluated[ki] += len(group)
 	}
 }
 
@@ -987,17 +1045,7 @@ func (a *TopKAccum) ObserveGroup(group []Sample) {
 func (a *TopKAccum) Finalize() []TopKResult {
 	out := make([]TopKResult, 0, len(a.ks))
 	for ki, k := range a.ks {
-		res := TopKResult{K: k, Evaluated: a.evaluated[ki]}
-		if a.evaluated[ki] > 0 {
-			res.HitFrac = float64(a.hits[ki]) / float64(a.evaluated[ki])
-		}
-		if a.numRates > 0 {
-			res.ProbeReduction = 1 - float64(k)/float64(a.numRates)
-			if res.ProbeReduction < 0 {
-				res.ProbeReduction = 0
-			}
-		}
-		out = append(out, res)
+		out = append(out, topKResult(k, a.hits[ki], a.evaluated[ki], a.numRates))
 	}
 	return out
 }

@@ -246,6 +246,38 @@ func BenchmarkPenaltyChunked(b *testing.B) {
 	}
 }
 
+// BenchmarkTopKAccum times the §4.5 top-k evaluation (ext4.topk's
+// per-group kernel) at the report's k values over per-network groups.
+func BenchmarkTopKAccum(b *testing.B) {
+	samples := simulated(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc := NewTopKAccum(7, []int{1, 2, 3})
+		_ = ForEachSampleGroup(samples, func(g []Sample) error {
+			acc.ObserveGroup(g)
+			return nil
+		})
+		_ = acc.Finalize()
+	}
+}
+
+// BenchmarkStrategyAccum times the online strategy replay (the kernel
+// Figure 4.6 and Table 4.1 each run) over per-network groups.
+func BenchmarkStrategyAccum(b *testing.B) {
+	samples := simulated(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc := NewStrategyAccum(7, 35)
+		_ = ForEachSampleGroup(samples, func(g []Sample) error {
+			acc.ObserveGroup(g)
+			return nil
+		})
+		_ = acc.Finalize()
+	}
+}
+
 // feedLinkChunks pushes samples through fn as small link-aligned chunks:
 // the wire layer's huge-group delivery shape (a network split into many
 // chunks, links never split). maxRows is a soft bound — a chunk extends

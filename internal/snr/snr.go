@@ -256,11 +256,7 @@ func (t *Table) Add(sm *Sample) {
 // lower rate index for determinism. ok is false when the table has no data
 // for that (key, SNR).
 func (t *Table) Lookup(sm *Sample) (rateIdx int, ok bool) {
-	bySNR, ok := t.counts[t.Scope.instKey(sm)]
-	if !ok {
-		return 0, false
-	}
-	c, ok := bySNR[sm.SNR]
+	c, ok := t.cell(sm)
 	if !ok {
 		return 0, false
 	}
@@ -274,6 +270,17 @@ func (t *Table) Lookup(sm *Sample) (rateIdx int, ok bool) {
 		return 0, false
 	}
 	return best, true
+}
+
+// cell returns the optimal-rate counts of a sample's (key, SNR) cell; ok
+// is false when the table has no data there.
+func (t *Table) cell(sm *Sample) (c []int, ok bool) {
+	bySNR, ok := t.counts[t.Scope.instKey(sm)]
+	if !ok {
+		return nil, false
+	}
+	c, ok = bySNR[sm.SNR]
+	return c, ok
 }
 
 // Instances returns the number of table instances (1 for Global, #networks

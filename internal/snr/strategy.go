@@ -73,16 +73,6 @@ func (r *StrategyResult) OverallAccuracy() float64 {
 	return float64(h) / float64(t)
 }
 
-// linkState is one link's online table under one strategy.
-type linkState struct {
-	firstVal  map[int]int   // SNR → first Popt
-	recentVal map[int]int   // SNR → last Popt
-	counts    map[int][]int // SNR → Popt counts
-	seen      int           // probe sets seen on this link
-	updates   int
-	stored    int
-}
-
 // ReplayStrategies replays every link's probe sets in time order through
 // each strategy, predicting before updating (Figure 4.6). maxX caps the
 // history-length axis; longer histories accumulate into the last bucket.
@@ -101,96 +91,107 @@ func ReplayStrategies(samples []Sample, numRates, maxX int) []StrategyResult {
 	return acc.Finalize()
 }
 
-// replayLink replays one link's time-ordered probe sets through one
-// strategy, folding the hit/total/update counters into res.
-func replayLink(res *StrategyResult, st Strategy, seq []*Sample, numRates, maxX int) {
-	ls := &linkState{
-		firstVal:  make(map[int]int),
-		recentVal: make(map[int]int),
-		counts:    make(map[int][]int),
-	}
-	for _, sm := range seq {
-		// Predict from current state.
-		pred, ok := ls.predict(st, sm.SNR)
-		if ok {
-			x := ls.seen
-			if x > maxX {
-				x = maxX
-			}
-			res.Total[x]++
-			if pred == sm.Popt {
-				res.Hits[x]++
-			}
-		} else {
-			res.Skipped++
-		}
-		ls.update(st, sm.SNR, sm.Popt, numRates)
-		ls.seen++
-	}
-	res.Updates += ls.updates
-	res.MemEntries += ls.stored
+// strategyReplay is every strategy's online table for one link, held
+// densely over the link's SNR span (index = SNR − the span's low end) and
+// reused from link to link.
+type strategyReplay struct {
+	first, recent []int32 // per SNR: the kept rate, -1 while unset
+	// Per counting strategy (0: Subsampled, 1: All): per-(SNR, rate)
+	// optimal-rate counts, and per SNR the running argmax (ties toward
+	// the lower rate index, as Table.Lookup breaks them) and its count,
+	// which is 0 until the SNR's first count.
+	counts, best, bestN [2][]int32
 }
 
-func (ls *linkState) predict(st Strategy, snr int) (int, bool) {
-	switch st {
-	case First:
-		v, ok := ls.firstVal[snr]
-		return v, ok
-	case MostRecent:
-		v, ok := ls.recentVal[snr]
-		return v, ok
-	default:
-		c, ok := ls.counts[snr]
-		if !ok {
-			return 0, false
-		}
-		best, bestN := -1, 0
-		for ri, n := range c {
-			if n > bestN {
-				best, bestN = ri, n
-			}
-		}
-		if best < 0 {
-			return 0, false
-		}
-		return best, true
+// reset sizes and clears the tables for a link spanning width SNRs.
+func (r *strategyReplay) reset(width, numRates int) {
+	r.first = resizeInt32(r.first, width)
+	r.recent = resizeInt32(r.recent, width)
+	for i := range r.first {
+		r.first[i], r.recent[i] = -1, -1
+	}
+	for c := range r.counts {
+		r.counts[c] = resizeInt32(r.counts[c], width*numRates)
+		r.best[c] = resizeInt32(r.best[c], width)
+		r.bestN[c] = resizeInt32(r.bestN[c], width)
+		clear(r.counts[c])
+		clear(r.bestN[c])
 	}
 }
 
-func (ls *linkState) update(st Strategy, snr, popt, numRates int) {
-	switch st {
-	case First:
-		if _, ok := ls.firstVal[snr]; !ok {
-			ls.firstVal[snr] = popt
-			ls.updates++
-			ls.stored++
-		}
-	case MostRecent:
-		if _, ok := ls.recentVal[snr]; !ok {
-			ls.stored++
-		}
-		ls.recentVal[snr] = popt
-		ls.updates++
-	case Subsampled:
-		// Every third probe set, plus always the first sighting of an
-		// SNR so predictions become possible at all.
-		_, seenSNR := ls.counts[snr]
-		if ls.seen%3 != 0 && seenSNR {
-			return
-		}
-		ls.bump(snr, popt, numRates)
-	case All:
-		ls.bump(snr, popt, numRates)
+// bump counts popt at SNR offset o in counting table c, keeping the
+// argmax current: only popt's count grew, so it takes over on a new
+// maximum or on a tie with a higher-index leader.
+func (r *strategyReplay) bump(c, o int, popt int32, numRates int) {
+	cell := r.counts[c][o*numRates:]
+	cell[popt]++
+	if n := cell[popt]; n > r.bestN[c][o] || (n == r.bestN[c][o] && popt < r.best[c][o]) {
+		r.best[c][o], r.bestN[c][o] = popt, n
 	}
 }
 
-func (ls *linkState) bump(snr, popt, numRates int) {
-	c, ok := ls.counts[snr]
-	if !ok {
-		c = make([]int, numRates)
-		ls.counts[snr] = c
+// predicted returns counting table c's prediction at SNR offset o, or -1
+// before any count there.
+func (r *strategyReplay) predicted(c, o int) int32 {
+	if r.bestN[c][o] == 0 {
+		return -1
 	}
-	c[popt]++
-	ls.updates++
-	ls.stored++
+	return r.best[c][o]
+}
+
+// score folds one prediction (-1: none possible) of the actual rate popt
+// at history length x into res.
+func score(res *StrategyResult, pred, popt int32, x int) {
+	if pred < 0 {
+		res.Skipped++
+		return
+	}
+	res.Total[x]++
+	if pred == popt {
+		res.Hits[x]++
+	}
+}
+
+// link replays one link's time-ordered probe sets (group[i] for i in
+// seq) through every strategy at once, predicting before updating, and
+// folds the counters into results (indexed by Strategy).
+func (r *strategyReplay) link(results []StrategyResult, group []Sample, seq []int32, numRates, maxX int) {
+	lo, width := snrSpan(group, seq)
+	r.reset(width, numRates)
+	firstUpdates, recentEntries, subUpdates := 0, 0, 0
+	for seen, i := range seq {
+		s := &group[i]
+		o, popt := s.SNR-lo, int32(s.Popt)
+		x := min(seen, maxX)
+		score(&results[First], r.first[o], popt, x)
+		score(&results[MostRecent], r.recent[o], popt, x)
+		score(&results[Subsampled], r.predicted(0, o), popt, x)
+		score(&results[All], r.predicted(1, o), popt, x)
+
+		if r.first[o] < 0 {
+			r.first[o] = popt
+			firstUpdates++
+		}
+		if r.recent[o] < 0 {
+			recentEntries++
+		}
+		r.recent[o] = popt
+		// Subsampled counts every third probe set, plus always the first
+		// sighting of an SNR so predictions become possible at all.
+		if seen%3 == 0 || r.bestN[0][o] == 0 {
+			r.bump(0, o, popt, numRates)
+			subUpdates++
+		}
+		r.bump(1, o, popt, numRates)
+	}
+	// Every update of First, Subsampled and All stores a data point;
+	// MostRecent updates on every probe set but stores one per SNR.
+	results[First].Updates += firstUpdates
+	results[First].MemEntries += firstUpdates
+	results[MostRecent].Updates += len(seq)
+	results[MostRecent].MemEntries += recentEntries
+	results[Subsampled].Updates += subUpdates
+	results[Subsampled].MemEntries += subUpdates
+	results[All].Updates += len(seq)
+	results[All].MemEntries += len(seq)
 }

@@ -1,8 +1,185 @@
 package snr
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 )
+
+// sparseSNRSamples is a multi-network fixture with what the simulated
+// fleet lacks: negative and widely spread SNRs (sparse SNR spans per
+// link), links interleaved within a network instead of contiguous runs,
+// out-of-order and repeated probe times, and optimal-rate ties.
+func sparseSNRSamples(numRates int) []Sample {
+	rng := rand.New(rand.NewSource(5))
+	snrs := []int{-40, -12, -3, 0, 7, 41, 95}
+	var out []Sample
+	for _, net := range []string{"net-a", "net-b", "net-c"} {
+		for i := 0; i < 600; i++ {
+			snr := snrs[rng.Intn(len(snrs))] + rng.Intn(2)
+			popt := rng.Intn(3)
+			if snr > 20 {
+				popt += numRates - 3
+			}
+			out = append(out, Sample{
+				Net: net, From: rng.Intn(4), To: rng.Intn(4),
+				T: int32(rng.Intn(80)), SNR: snr, Popt: popt,
+				Tput: make([]float64, numRates),
+			})
+		}
+	}
+	return out
+}
+
+// refLinkState is one link's map-based online table under one strategy:
+// the reference the dense strategy replay is pinned against.
+type refLinkState struct {
+	firstVal  map[int]int   // SNR → first Popt
+	recentVal map[int]int   // SNR → last Popt
+	counts    map[int][]int // SNR → Popt counts
+	seen      int
+	updates   int
+	stored    int
+}
+
+// refReplayStrategies is the map-based reference replay: group each
+// network's samples by link key, order every link's samples stably by
+// time, and replay each strategy over each link separately.
+func refReplayStrategies(samples []Sample, numRates, maxX int) []StrategyResult {
+	if maxX < 2 {
+		maxX = 2
+	}
+	var results []StrategyResult
+	for _, st := range Strategies {
+		results = append(results, StrategyResult{Strategy: st, Hits: make([]int, maxX+1), Total: make([]int, maxX+1)})
+	}
+	_ = ForEachSampleGroup(samples, func(group []Sample) error {
+		byLink := make(map[string][]*Sample)
+		var keys []string
+		for i := range group {
+			k := Link.Key(&group[i])
+			if _, ok := byLink[k]; !ok {
+				keys = append(keys, k)
+			}
+			byLink[k] = append(byLink[k], &group[i])
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			seq := byLink[k]
+			sort.SliceStable(seq, func(x, y int) bool { return seq[x].T < seq[y].T })
+			for si, st := range Strategies {
+				refReplayLink(&results[si], st, seq, numRates, maxX)
+			}
+		}
+		return nil
+	})
+	return results
+}
+
+func refReplayLink(res *StrategyResult, st Strategy, seq []*Sample, numRates, maxX int) {
+	ls := &refLinkState{firstVal: map[int]int{}, recentVal: map[int]int{}, counts: map[int][]int{}}
+	for _, sm := range seq {
+		if pred, ok := ls.predict(st, sm.SNR); ok {
+			x := min(ls.seen, maxX)
+			res.Total[x]++
+			if pred == sm.Popt {
+				res.Hits[x]++
+			}
+		} else {
+			res.Skipped++
+		}
+		ls.update(st, sm.SNR, sm.Popt, numRates)
+		ls.seen++
+	}
+	res.Updates += ls.updates
+	res.MemEntries += ls.stored
+}
+
+func (ls *refLinkState) predict(st Strategy, snr int) (int, bool) {
+	switch st {
+	case First:
+		v, ok := ls.firstVal[snr]
+		return v, ok
+	case MostRecent:
+		v, ok := ls.recentVal[snr]
+		return v, ok
+	default:
+		c, ok := ls.counts[snr]
+		if !ok {
+			return 0, false
+		}
+		best, bestN := -1, 0
+		for ri, n := range c {
+			if n > bestN {
+				best, bestN = ri, n
+			}
+		}
+		return best, best >= 0
+	}
+}
+
+func (ls *refLinkState) update(st Strategy, snr, popt, numRates int) {
+	switch st {
+	case First:
+		if _, ok := ls.firstVal[snr]; !ok {
+			ls.firstVal[snr] = popt
+			ls.updates++
+			ls.stored++
+		}
+	case MostRecent:
+		if _, ok := ls.recentVal[snr]; !ok {
+			ls.stored++
+		}
+		ls.recentVal[snr] = popt
+		ls.updates++
+	case Subsampled:
+		if _, seenSNR := ls.counts[snr]; ls.seen%3 != 0 && seenSNR {
+			return
+		}
+		ls.bump(snr, popt, numRates)
+	case All:
+		ls.bump(snr, popt, numRates)
+	}
+}
+
+func (ls *refLinkState) bump(snr, popt, numRates int) {
+	c, ok := ls.counts[snr]
+	if !ok {
+		c = make([]int, numRates)
+		ls.counts[snr] = c
+	}
+	c[popt]++
+	ls.updates++
+	ls.stored++
+}
+
+// TestStrategyReplayMatchesMapReference is the dense-replay oracle: the
+// SNR-offset-indexed replay must equal the map-based reference on the
+// simulated fleet and on links with negative and sparse SNRs
+// (interleaved links, unsorted times), at several history caps, whole
+// and merged from shards.
+func TestStrategyReplayMatchesMapReference(t *testing.T) {
+	const numRates = 7
+	for name, samples := range map[string][]Sample{
+		"simulated":  simulated(t),
+		"sparse-snr": sparseSNRSamples(numRates),
+	} {
+		for _, maxX := range []int{1, 5, 35} {
+			want := refReplayStrategies(samples, numRates, maxX)
+			if got := ReplayStrategies(samples, numRates, maxX); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s maxX=%d: dense replay diverges from the map reference:\n got %+v\nwant %+v", name, maxX, got, want)
+			}
+			merged := mergeShards(splitShards(t, samples, 3),
+				func() *StrategyAccum { return NewStrategyAccum(numRates, maxX) },
+				func(a *StrategyAccum, g []Sample) { a.ObserveGroup(g) },
+				func(dst, src *StrategyAccum) { dst.Merge(src) })
+			if got := merged.Finalize(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s maxX=%d: merged dense replay diverges from the map reference", name, maxX)
+			}
+		}
+	}
+}
 
 func TestStrategyString(t *testing.T) {
 	names := map[Strategy]string{

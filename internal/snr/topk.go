@@ -8,48 +8,26 @@ package snr
 // drops by the ratio of the candidate set to the full rate set, which is
 // the thesis's main hope for 802.11n and its "several dozen" rates.
 
-import "sort"
-
-// TopK returns the k most frequently optimal rate indices for the
-// sample's (scope key, SNR) cell, most frequent first. ok is false when
-// the cell has no data. Ties break toward the lower rate index.
-func (t *Table) TopK(sm *Sample, k int) (rates []int, ok bool) {
-	if k < 1 {
-		k = 1
-	}
-	bySNR, ok := t.counts[t.Scope.instKey(sm)]
-	if !ok {
-		return nil, false
-	}
-	c, ok := bySNR[sm.SNR]
-	if !ok {
-		return nil, false
-	}
-	type rc struct{ ri, n int }
-	var nonzero []rc
-	for ri, n := range c {
-		if n > 0 {
-			nonzero = append(nonzero, rc{ri, n})
+// optRank returns rate popt's position in its cell's count row c under
+// the top-k order (count descending, ties toward the lower rate index):
+// the number of rates with a higher count, or an equal count and a lower
+// index. The cell's top-k candidate set holds popt exactly when
+// inTopK(rank, k). In-sample, popt is always a nonzero entry of its own
+// trained cell, so every rate ranked ahead of it is nonzero too — the
+// rank is exact without materializing or sorting the candidate set.
+func optRank(c []int, popt int) int {
+	n, rank := c[popt], 0
+	for ri, m := range c {
+		if m > n || (m == n && ri < popt) {
+			rank++
 		}
 	}
-	if len(nonzero) == 0 {
-		return nil, false
-	}
-	sort.Slice(nonzero, func(a, b int) bool {
-		if nonzero[a].n != nonzero[b].n {
-			return nonzero[a].n > nonzero[b].n
-		}
-		return nonzero[a].ri < nonzero[b].ri
-	})
-	if len(nonzero) > k {
-		nonzero = nonzero[:k]
-	}
-	rates = make([]int, len(nonzero))
-	for i, v := range nonzero {
-		rates[i] = v.ri
-	}
-	return rates, true
+	return rank
 }
+
+// inTopK reports whether a rate of the given rank is among its cell's k
+// most frequently optimal rates; k < 1 counts as 1.
+func inTopK(rank, k int) bool { return rank < max(k, 1) }
 
 // TopKResult summarizes the candidate-set analysis at one k.
 type TopKResult struct {
@@ -69,34 +47,35 @@ type TopKResult struct {
 // §4 does throughout).
 func TopKCoverage(samples []Sample, numRates int, scope Scope, ks []int) []TopKResult {
 	tbl := Train(samples, numRates, scope)
+	ranks := make([]int, 0, len(samples))
+	for i := range samples {
+		s := &samples[i]
+		if c, ok := tbl.cell(s); ok {
+			ranks = append(ranks, optRank(c, s.Popt))
+		}
+	}
+	evaluated := len(ranks)
 	out := make([]TopKResult, 0, len(ks))
 	for _, k := range ks {
-		hits, evaluated := 0, 0
-		for i := range samples {
-			s := &samples[i]
-			cands, ok := tbl.TopK(s, k)
-			if !ok {
-				continue
-			}
-			evaluated++
-			for _, ri := range cands {
-				if ri == s.Popt {
-					hits++
-					break
-				}
+		hits := 0
+		for _, rank := range ranks {
+			if inTopK(rank, k) {
+				hits++
 			}
 		}
-		res := TopKResult{K: k, Evaluated: evaluated}
-		if evaluated > 0 {
-			res.HitFrac = float64(hits) / float64(evaluated)
-		}
-		if numRates > 0 {
-			res.ProbeReduction = 1 - float64(k)/float64(numRates)
-			if res.ProbeReduction < 0 {
-				res.ProbeReduction = 0
-			}
-		}
-		out = append(out, res)
+		out = append(out, topKResult(k, hits, evaluated, numRates))
 	}
 	return out
+}
+
+// topKResult assembles one k's coverage outcome.
+func topKResult(k, hits, evaluated, numRates int) TopKResult {
+	res := TopKResult{K: k, Evaluated: evaluated}
+	if evaluated > 0 {
+		res.HitFrac = float64(hits) / float64(evaluated)
+	}
+	if numRates > 0 {
+		res.ProbeReduction = max(1-float64(k)/float64(numRates), 0)
+	}
+	return res
 }

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 
 	"meshlab/internal/radio"
@@ -128,9 +129,9 @@ func TestSkipClients(t *testing.T) {
 
 func TestRadioParamsOverride(t *testing.T) {
 	opts := Quick(4)
-	calls := 0
+	var calls atomic.Int32 // networks build in parallel
 	opts.RadioParams = func(outdoor bool) radio.Params {
-		calls++
+		calls.Add(1)
 		p := radio.DefaultParams(radio.Indoor)
 		p.DisableOffsets = true
 		return p
@@ -138,7 +139,7 @@ func TestRadioParamsOverride(t *testing.T) {
 	if _, err := Generate(opts); err != nil {
 		t.Fatal(err)
 	}
-	if calls == 0 {
+	if calls.Load() == 0 {
 		t.Fatal("RadioParams override never used")
 	}
 }

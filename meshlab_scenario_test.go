@@ -46,6 +46,7 @@ func TestScenarioE2EGoldens(t *testing.T) {
 				t.Fatal(err)
 			}
 			h := e2e.New(t.TempDir())
+			t.Cleanup(func() { _ = h.Close() })
 			h.Workers = 2
 			dataset, err := h.Synthesize(sp)
 			if err != nil {
