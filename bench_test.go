@@ -5,8 +5,8 @@ package meshlab
 // PERF.md records the optimization trajectory). Each iteration runs the
 // experiment end to end against a shared quick-scale fleet, so the
 // reported ns/op is the cost of regenerating that artifact from raw
-// probe/client data (with the context's memoized routing solutions reset
-// each iteration via a fresh Analysis).
+// probe/client data: each iteration is a fresh RunFleet walk, which
+// derives every per-network routing solution anew.
 //
 // Run with:
 //
@@ -48,8 +48,7 @@ func benchExperiment(b *testing.B, id string) {
 	fleet := benchmarkFleet(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := NewAnalysis(fleet)
-		if _, err := a.Run(id); err != nil {
+		if _, _, err := RunFleet(fleet, id); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -177,30 +176,6 @@ func BenchmarkCoverage(b *testing.B) {
 	}
 }
 
-func BenchmarkRunAllExperiments(b *testing.B) {
-	fleet := benchmarkFleet(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewAnalysis(fleet).RunAll(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRunAllExperimentsParallel is the parallel counterpart of
-// BenchmarkRunAllExperiments: same work, fanned across GOMAXPROCS
-// workers. On a single core it should match the serial run; on multicore
-// it should scale with the worker pool.
-func BenchmarkRunAllExperimentsParallel(b *testing.B) {
-	fleet := benchmarkFleet(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewAnalysis(fleet).RunAllParallel(0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // streamingDataset writes the shared bench fleet (with the flat-sample
 // section) to a temp file for the streaming-suite benchmarks and tests.
 func streamingDataset(b testing.TB) string {
@@ -212,9 +187,8 @@ func streamingDataset(b testing.TB) string {
 }
 
 // BenchmarkRunAllStreaming is the full suite through the single-pass
-// streaming walk (decode + derive + finalize per iteration), the
-// counterpart of BenchmarkRunAllExperimentsParallel for the -dataset
-// path; the PERF.md PR 4 tables track it against the materialized run.
+// streaming walk of a dataset file (decode + derive + finalize per
+// iteration), the -dataset path.
 func BenchmarkRunAllStreaming(b *testing.B) {
 	path := streamingDataset(b)
 	b.ResetTimer()
@@ -229,21 +203,21 @@ func BenchmarkRunAllStreaming(b *testing.B) {
 // -sec4 way — chunked sample groups through incremental accumulators —
 // sampling the live heap mid-walk. The reported peak-live-B metric is
 // the path's memory bound: count/histogram tables plus one in-flight
-// group, independent of sample count. Compare
-// BenchmarkSec4MaterializedPeakHeap.
+// group, independent of sample count.
 func BenchmarkSec4ChunkedPeakHeap(b *testing.B) {
 	path := streamingDataset(b)
 	ids := SampleExperimentIDs()
 	var peak uint64
 	for i := 0; i < b.N; i++ {
 		base := liveHeap()
-		run, err := experiments.NewSampleRun(ids)
+		run, err := experiments.NewStreamContextFor(2, ids)
 		if err != nil {
 			b.Fatal(err)
 		}
+		run.DeferSamples()
 		groups := 0
-		err = EachSampleGroup(path, 2, func(band, _ string, samples []snr.Sample) error {
-			if err := run.ObserveGroup(band, samples); err != nil {
+		err = eachSampleGroup(path, 2, func(band, _ string, samples []snr.Sample) error {
+			if err := run.ObserveSampleGroup(band, samples); err != nil {
 				return err
 			}
 			groups++
@@ -257,6 +231,7 @@ func BenchmarkSec4ChunkedPeakHeap(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		run.FinishSamples()
 		results, err := run.Finalize()
 		if err != nil {
 			b.Fatal(err)
@@ -265,32 +240,6 @@ func BenchmarkSec4ChunkedPeakHeap(b *testing.B) {
 			peak = h
 		}
 		runtime.KeepAlive(results)
-	}
-	b.ReportMetric(float64(peak), "peak-live-B")
-}
-
-// BenchmarkSec4MaterializedPeakHeap is the pre-chunked §4 path for
-// comparison: materialize every sample, then analyze. Its peak live heap
-// scales with sample count.
-func BenchmarkSec4MaterializedPeakHeap(b *testing.B) {
-	path := streamingDataset(b)
-	var peak uint64
-	for i := 0; i < b.N; i++ {
-		base := liveHeap()
-		samples, err := LoadSamples(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		a := NewSampleAnalysis(samples)
-		for _, id := range SampleExperimentIDs() {
-			if _, err := a.Run(id); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if h := liveHeap() - base; h > peak {
-			peak = h
-		}
-		runtime.KeepAlive(samples)
 	}
 	b.ReportMetric(float64(peak), "peak-live-B")
 }
@@ -334,9 +283,11 @@ func TestStreamingDoesNotMaterializeFleet(t *testing.T) {
 	}
 	afterLoad := int64(liveHeap())
 
-	samples, err := LoadSamples(path)
-	if err != nil {
-		t.Fatal(err)
+	samples := make(map[string][]snr.Sample, 2)
+	for _, band := range []string{"bg", "n"} {
+		if samples[band], err = snr.Flatten(fleet.ByBand(band)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	afterSamples := int64(liveHeap())
 

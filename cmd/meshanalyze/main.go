@@ -55,6 +55,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"meshlab"
@@ -139,6 +140,17 @@ func run(args []string, stdout io.Writer) error {
 	if *resume && *ckdir == "" {
 		return usagef("-resume needs -checkpoint DIR to resume from")
 	}
+	// Validate -exp before any load or synthesis: a typo is a usage error,
+	// not a runtime failure after minutes of work.
+	ids := []string{*exp}
+	if *exp == "all" {
+		ids = meshlab.ExperimentIDs()
+		if *sec4 {
+			ids = meshlab.SampleExperimentIDs()
+		}
+	} else if !slices.Contains(meshlab.ExperimentIDs(), *exp) {
+		return usagef("unknown experiment %q (see -list)", *exp)
+	}
 	if *scen != "" {
 		if *data != "" {
 			return usagef("-scenario and -data are mutually exclusive: the spec declares a dataset, the file provides one (use meshreport -scenario -data to validate a file against a scenario)")
@@ -164,27 +176,30 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *sec4 {
-		return runSampleOnly(stdout, *data, *exp, *plot, *workers)
+		if *data == "" {
+			return usagef("-sec4 streams samples from a dataset file: pass -data fleet.bin (generate one with `meshgen -out fleet.bin -flat-samples`)")
+		}
+		for _, id := range ids {
+			if !meshlab.SampleOnlyExperiment(id) {
+				return usagef("experiment %s needs the full fleet; -sec4 can only run %s (drop -sec4 to materialize the dataset)",
+					id, strings.Join(meshlab.SampleExperimentIDs(), ", "))
+			}
+		}
+		return runSampleOnly(stdout, *data, ids, *plot, *workers)
 	}
 
 	fleet, err := loadOrGenerate(*data, *scen, *seed)
 	if err != nil {
 		return err
 	}
-	a := meshlab.NewAnalysis(fleet)
-
-	ids := []string{*exp}
-	if *exp == "all" {
-		ids = meshlab.ExperimentIDs()
+	results, _, err := meshlab.RunFleet(fleet, ids...)
+	if err != nil {
+		return err
 	}
-	for _, id := range ids {
-		res, err := a.Run(id)
-		if err != nil {
-			return err
-		}
+	for _, res := range results {
 		fmt.Fprint(stdout, res.Format())
 		if *plot {
-			renderPlot(stdout, a, id)
+			renderPlot(stdout, fleet, res.ID)
 		}
 		fmt.Fprintln(stdout)
 	}
@@ -205,20 +220,15 @@ func runSharded(stdout io.Writer, data, exp string, plot bool, so meshlab.ShardO
 	if res.Manifest.Degraded || res.Manifest.CheckpointNotes() {
 		fmt.Fprint(os.Stderr, res.Manifest.Format())
 	}
-	printed := false
 	for _, r := range res.Results {
 		if exp != "all" && r.ID != exp {
 			continue
 		}
-		printed = true
 		fmt.Fprint(stdout, r.Format())
 		if plot {
 			fmt.Fprintln(stdout, "(no plot in sharded mode)")
 		}
 		fmt.Fprintln(stdout)
-	}
-	if !printed {
-		return usagef("unknown experiment %q (see -list)", exp)
 	}
 	return nil
 }
@@ -226,27 +236,7 @@ func runSharded(stdout io.Writer, data, exp string, plot bool, so meshlab.ShardO
 // runSampleOnly is the -sec4 mode: the §4 sample-only experiments over a
 // chunked sample-group stream, never materializing the fleet or the
 // samples.
-func runSampleOnly(stdout io.Writer, data, exp string, plot bool, workers int) error {
-	if data == "" {
-		return fmt.Errorf("-sec4 streams samples from a dataset file: pass -data fleet.bin (generate one with `meshgen -out fleet.bin -flat-samples`)")
-	}
-	ids := []string{exp}
-	if exp == "all" {
-		ids = meshlab.SampleExperimentIDs()
-	}
-	known := make(map[string]bool)
-	for _, id := range meshlab.ExperimentIDs() {
-		known[id] = true
-	}
-	for _, id := range ids {
-		if !known[id] {
-			return fmt.Errorf("unknown experiment %q (see -list)", id)
-		}
-		if !meshlab.SampleOnlyExperiment(id) {
-			return fmt.Errorf("experiment %s needs the full fleet; -sec4 can only run %s (drop -sec4 to materialize the dataset)",
-				id, strings.Join(meshlab.SampleExperimentIDs(), ", "))
-		}
-	}
+func runSampleOnly(stdout io.Writer, data string, ids []string, plot bool, workers int) error {
 	results, err := meshlab.StreamSampleExperiments(data, ids, workers)
 	if err != nil {
 		return err
@@ -279,20 +269,20 @@ func loadOrGenerate(path, scen string, seed uint64) (*meshlab.Fleet, error) {
 
 // renderPlot draws the figure's primary distribution for the experiments
 // where a terminal CDF is meaningful.
-func renderPlot(stdout io.Writer, a *meshlab.Analysis, id string) {
+func renderPlot(stdout io.Writer, fleet *meshlab.Fleet, id string) {
 	switch id {
 	case "fig5.1":
 		ri := phy.BandBG.RateIndex("1M")
 		var imps []float64
-		for _, nd := range a.Fleet.ByBand("bg") {
+		for _, nd := range fleet.ByBand("bg") {
 			if nd.NumAPs() < 5 {
 				continue
 			}
-			prs, err := a.Improvements(nd, ri, routing.ETX1)
+			ms, err := routing.SuccessMatrices(nd)
 			if err != nil {
 				return
 			}
-			for _, pr := range prs {
+			for _, pr := range routing.Improvements(ms[ri], routing.ETX1) {
 				imps = append(imps, pr.Improvement)
 			}
 		}
@@ -300,8 +290,8 @@ func renderPlot(stdout io.Writer, a *meshlab.Analysis, id string) {
 	case "fig5.2":
 		var ratios []float64
 		ri := phy.BandBG.RateIndex("1M")
-		for _, nd := range a.Fleet.ByBand("bg") {
-			ms, err := a.Matrices(nd)
+		for _, nd := range fleet.ByBand("bg") {
+			ms, err := routing.SuccessMatrices(nd)
 			if err != nil {
 				return
 			}
@@ -310,7 +300,7 @@ func renderPlot(stdout io.Writer, a *meshlab.Analysis, id string) {
 		fmt.Fprint(stdout, textplot.CDF(ratios, 60, 14, "fwd/rev delivery ratio @1M"))
 	case "fig3.1":
 		var stds []float64
-		a.Fleet.EachProbeSet("", func(_ *dataset.NetworkData, _ *dataset.Link, ps *dataset.ProbeSet) {
+		fleet.EachProbeSet("", func(_ *dataset.NetworkData, _ *dataset.Link, ps *dataset.ProbeSet) {
 			stds = append(stds, float64(ps.SNRStd))
 		})
 		fmt.Fprint(stdout, textplot.CDF(stds, 60, 14, "intra-probe-set SNR std (dB)"))

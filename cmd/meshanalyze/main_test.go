@@ -90,11 +90,11 @@ func TestSec4StreamsSamples(t *testing.T) {
 	}
 
 	var want strings.Builder
-	res, err := meshlab.NewAnalysis(fleet).Run("fig4.2")
+	res, _, err := meshlab.RunFleet(fleet, "fig4.2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want.WriteString(res.Format())
+	want.WriteString(res[0].Format())
 	want.WriteString("\n")
 
 	for _, path := range []string{sampled, plain} {
@@ -181,6 +181,17 @@ func TestExitCodes(t *testing.T) {
 	}
 	if err := run([]string{"-shards", "2", "-sec4", "-data", "x.bin"}, &buf); exitCode(err) != 2 {
 		t.Fatalf("-shards with -sec4: exit %d (%v), want 2", exitCode(err), err)
+	}
+	// An unknown -exp is a usage error in every mode, caught before any
+	// synthesis or load; so is -sec4 without a file to stream.
+	for _, args := range [][]string{
+		{"-exp", "fig9.9"},
+		{"-shards", "2", "-exp", "fig9.9"},
+		{"-sec4"},
+	} {
+		if err := run(args, &buf); exitCode(err) != 2 {
+			t.Fatalf("%v: exit %d (%v), want 2", args, exitCode(err), err)
+		}
 	}
 	if exitCode(nil) != 0 {
 		t.Fatal("nil error must exit 0")

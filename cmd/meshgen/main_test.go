@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"meshlab"
+	"meshlab/internal/wire"
 )
 
 func TestRunQuickJSONL(t *testing.T) {
@@ -56,12 +57,20 @@ func TestRunFlatSamples(t *testing.T) {
 	if err := run([]string{"-seed", "4", "-out", out, "-flat-samples"}, &strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}
-	_, samples, err := meshlab.LoadFleetSamples(out)
+	f, err := os.Open(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(samples) == 0 {
+	defer f.Close()
+	rd, err := wire.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rd.HasFlatSamples() {
 		t.Fatal("-flat-samples output carries no sample section")
+	}
+	if samples, err := rd.Samples(); err != nil || len(samples) == 0 {
+		t.Fatalf("-flat-samples section holds no samples (err %v)", err)
 	}
 	if err := run([]string{"-out", "f.jsonl", "-flat-samples"}, &strings.Builder{}); err == nil {
 		t.Fatal("-flat-samples with a JSONL output should error")

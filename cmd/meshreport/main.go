@@ -222,14 +222,14 @@ func run(args []string, stdout io.Writer) error {
 // obtainResults produces the full suite's results plus a dataset summary
 // and label for the report preamble. Binary datasets run through the
 // single-pass streaming suite; everything else (JSON lines, cache misses,
-// direct generation) materializes a fleet — unless forceStream forbids
-// the fallback. opts is the resolved generation identity (from -scenario
-// or -scale/-seed), ident its short label, and regen the meshgen
-// invocation that guidance messages quote. A non-nil sp makes a -data
-// walk double as identity validation: the file must be the scenario's
-// dataset, and a mismatch is an error, never a silent reuse. The
-// returned duration covers experiment execution only (for streaming, the
-// walk is the execution).
+// direct generation) materializes a fleet and runs it with RunFleet —
+// unless forceStream forbids the fallback. opts is the resolved
+// generation identity (from -scenario or -scale/-seed), ident its short
+// label, and regen the meshgen invocation that guidance messages quote.
+// A non-nil sp makes a -data walk double as identity validation: the
+// file must be the scenario's dataset, and a mismatch is an error, never
+// a silent reuse. The returned duration covers experiment execution only
+// (for streaming, the walk is the execution).
 func obtainResults(data, cache string, opts meshlab.Options, sp *scenario.Spec, ident, regen string, workers int, forceStream, sharded bool, so meshlab.ShardOptions) ([]*meshlab.Result, *meshlab.StreamSummary, string, time.Duration, error) {
 	if data != "" {
 		if sharded {
@@ -260,11 +260,11 @@ func obtainResults(data, cache string, opts meshlab.Options, sp *scenario.Spec, 
 			// unvalidated materialization.
 			return nil, nil, "", 0, err
 		}
-		f, samples, err := meshlab.LoadFleetSamples(data)
+		f, err := meshlab.LoadFleet(data)
 		if err != nil {
 			return nil, nil, "", 0, err
 		}
-		return runMaterialized(f, samples, workers, data)
+		return runFleet(f, data)
 	}
 	if cache != "" {
 		if opts.CacheValidatable() {
@@ -283,17 +283,17 @@ func obtainResults(data, cache string, opts meshlab.Options, sp *scenario.Spec, 
 		} else if forceStream {
 			return nil, nil, "", 0, fmt.Errorf("-stream: these options cannot be validated against a cache file, so a streamed %s cannot be trusted", cache)
 		}
-		f, samples, hit, err := meshlab.LoadOrGenerateFleetSamples(cache, opts)
+		f, hit, err := meshlab.LoadOrGenerateFleet(cache, opts)
 		if err != nil {
 			return nil, nil, "", 0, err
 		}
 		switch {
 		case hit:
-			return runMaterialized(f, samples, workers, fmt.Sprintf("%s (cache hit, synthesis skipped)", cache))
+			return runFleet(f, fmt.Sprintf("%s (cache hit, synthesis skipped)", cache))
 		case !opts.CacheValidatable():
-			return runMaterialized(f, nil, workers, fmt.Sprintf("generated in-memory (%s; -dataset bypassed: options not cache-validatable)", ident))
+			return runFleet(f, fmt.Sprintf("generated in-memory (%s; -dataset bypassed: options not cache-validatable)", ident))
 		default:
-			return runMaterialized(f, samples, workers, fmt.Sprintf("%s (cache written: %s)", cache, ident))
+			return runFleet(f, fmt.Sprintf("%s (cache written: %s)", cache, ident))
 		}
 	}
 	if forceStream {
@@ -303,7 +303,7 @@ func obtainResults(data, cache string, opts meshlab.Options, sp *scenario.Spec, 
 	if err != nil {
 		return nil, nil, "", 0, err
 	}
-	return runMaterialized(f, nil, workers, fmt.Sprintf("generated in-memory (%s)", ident))
+	return runFleet(f, fmt.Sprintf("generated in-memory (%s)", ident))
 }
 
 // runSharded runs the suite as a fault-tolerant sharded stream. The
@@ -331,31 +331,13 @@ func runSharded(data string, so meshlab.ShardOptions) ([]*meshlab.Result, *meshl
 	return res.Results, sum, label, time.Since(start), nil
 }
 
-// runMaterialized runs the suite over an in-memory fleet, priming any
-// flat samples a dataset load carried, and summarizes the fleet for the
-// report preamble.
-func runMaterialized(f *meshlab.Fleet, samples meshlab.FleetSamples, workers int, label string) ([]*meshlab.Result, *meshlab.StreamSummary, string, time.Duration, error) {
-	a := meshlab.NewAnalysis(f)
-	// A dataset file's flat-sample section replaces the §4 flattening
-	// pass; the samples are identical to what the analysis would derive.
-	for band, s := range samples {
-		a.PrimeSamples(band, s)
-	}
+// runFleet runs the suite over an in-memory fleet; its summary feeds
+// the report preamble.
+func runFleet(f *meshlab.Fleet, label string) ([]*meshlab.Result, *meshlab.StreamSummary, string, time.Duration, error) {
 	start := time.Now()
-	// The parallel runner produces byte-identical results in the same
-	// paper order, so the report does not depend on -workers.
-	results, err := a.RunAllParallel(workers)
+	results, sum, err := meshlab.RunFleet(f)
 	if err != nil {
 		return nil, nil, "", 0, err
-	}
-	sum := &meshlab.StreamSummary{
-		Meta:            f.Meta,
-		Networks:        len(f.Networks),
-		NetworksBG:      len(f.ByBand("bg")),
-		NetworksN:       len(f.ByBand("n")),
-		ProbeSets:       f.NumProbeSets(),
-		FlatSamples:     samples != nil,
-		MaxLiveNetworks: len(f.Networks),
 	}
 	return results, sum, label, time.Since(start), nil
 }

@@ -20,12 +20,11 @@ func main() {
 	fmt.Printf("generated %d network datasets, %d probe sets, %d client logs\n\n",
 		len(fleet.Networks), fleet.NumProbeSets(), len(fleet.Clients))
 
-	analysis := meshlab.NewAnalysis(fleet)
-	for _, id := range []string{"fig4.2", "fig5.1", "fig6.1", "fig7.4"} {
-		res, err := analysis.Run(id)
-		if err != nil {
-			log.Fatal(err)
-		}
+	results, _, err := meshlab.RunFleet(fleet, "fig4.2", "fig5.1", "fig6.1", "fig7.4")
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, res := range results {
 		fmt.Print(res.Format())
 		fmt.Println()
 	}

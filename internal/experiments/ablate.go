@@ -24,13 +24,13 @@ func init() {
 
 // ablFleets caches ablation fleets process-wide: they are pure functions
 // of the variant name (fixed seed, fixed options), independent of the
-// context's fleet, so regenerating them per Context would only repeat
-// identical synthesis work.
+// run's fleet, so regenerating them per run would only repeat identical
+// synthesis work.
 var ablFleets sync.Map // string → *memo[*dataset.Fleet]
 
 // ablationFleet generates (and caches, process-wide) a small probe-only
 // b/g fleet with the given radio-parameter mutation. Ablations
-// deliberately use their own fixed-seed fleets rather than the context's,
+// deliberately use their own fixed-seed fleets rather than the run's,
 // so that the default and ablated runs differ only in the mutated physics.
 func ablationFleet(name string, mutate func(*radio.Params)) (*dataset.Fleet, error) {
 	return memoCell[*dataset.Fleet](&ablFleets, name).get(func() (*dataset.Fleet, error) {
@@ -65,7 +65,7 @@ func generateAblationFleet(mutate func(*radio.Params)) (*dataset.Fleet, error) {
 
 // abl4off removes the hidden per-link environment offsets and measures how
 // much of per-link training's advantage over global training survives.
-func abl4off(shared) (*Result, error) {
+func abl4off(*StreamContext) (*Result, error) {
 	res := &Result{Header: []string{
 		"variant", "exact frac (global)", "exact frac (link)", "advantage (link−global)",
 	}}
@@ -100,7 +100,7 @@ func abl4off(shared) (*Result, error) {
 
 // abl4burst removes interference bursts and measures how often an SNR's
 // optimal rate churns over time on a single link.
-func abl4burst(shared) (*Result, error) {
+func abl4burst(*StreamContext) (*Result, error) {
 	res := &Result{Header: []string{"variant", "(link,SNR) cells", "frac cells with churn"}}
 	var churns []float64
 	for _, v := range []struct {
@@ -151,7 +151,7 @@ func abl4burst(shared) (*Result, error) {
 
 // abl5sym removes per-direction asymmetry and measures the ETX2-over-ETX1
 // improvement gap.
-func abl5sym(shared) (*Result, error) {
+func abl5sym(*StreamContext) (*Result, error) {
 	res := &Result{Header: []string{
 		"variant", "mean |log asym ratio|", "median improvement ETX1 @1M", "median improvement ETX2 @1M", "gap",
 	}}

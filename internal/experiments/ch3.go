@@ -40,7 +40,7 @@ func (a *fig31Acc) observe(nv *NetView) error {
 	return nil
 }
 
-func (a *fig31Acc) finalize(shared) (*Result, error) {
+func (a *fig31Acc) finalize(*StreamContext) (*Result, error) {
 	if len(a.probeStds) == 0 {
 		return nil, fmt.Errorf("no probe sets in fleet")
 	}

@@ -86,7 +86,7 @@ func (a *fig51Acc) observe(nv *NetView) error {
 	return nil
 }
 
-func (a *fig51Acc) finalize(shared) (*Result, error) {
+func (a *fig51Acc) finalize(*StreamContext) (*Result, error) {
 	if a.nets == 0 {
 		return nil, fmt.Errorf("no b/g networks with ≥5 APs")
 	}
@@ -143,7 +143,7 @@ func (a *fig52Acc) observe(nv *NetView) error {
 	return nil
 }
 
-func (a *fig52Acc) finalize(shared) (*Result, error) {
+func (a *fig52Acc) finalize(*StreamContext) (*Result, error) {
 	res := &Result{Header: []string{"rate", "pairs", "p10", "median", "p90", "frac within ±25%"}}
 	for ri, rate := range phy.BandBG.Rates {
 		ratios := a.ratios[ri]
@@ -192,7 +192,7 @@ func (a *fig53Acc) observe(nv *NetView) error {
 	return nil
 }
 
-func (a *fig53Acc) finalize(shared) (*Result, error) {
+func (a *fig53Acc) finalize(*StreamContext) (*Result, error) {
 	res := &Result{Header: []string{"rate", "pairs", "frac 1 hop", "frac ≤2", "frac ≤3", "mean", "max"}}
 	for ri, rate := range phy.BandBG.Rates {
 		hops := a.hops[ri]
@@ -237,7 +237,7 @@ func (a *fig54Acc) observe(nv *NetView) error {
 	return nil
 }
 
-func (a *fig54Acc) finalize(shared) (*Result, error) {
+func (a *fig54Acc) finalize(*StreamContext) (*Result, error) {
 	res := &Result{Header: []string{"path length (hops)", "pairs", "median improvement", "max improvement"}}
 	var medians, maxima []float64
 	for _, h := range sortedKeys(a.byHops) {
@@ -308,7 +308,7 @@ func (a *fig55Acc) observe(nv *NetView) error {
 	return nil
 }
 
-func (a *fig55Acc) finalize(shared) (*Result, error) {
+func (a *fig55Acc) finalize(*StreamContext) (*Result, error) {
 	pts := a.pts
 	sort.Slice(pts, func(x, y int) bool { return pts[x].size < pts[y].size })
 

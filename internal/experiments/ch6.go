@@ -25,9 +25,8 @@ var abl6tThresholds = []float64{0.05, 0.10, 0.25, 0.50}
 
 // censusBG accumulates the §6 triple census of every b/g network at one
 // threshold, in fleet order — the shared observe body of the §6 figures.
-// The census is derived per network while it is live (and memoized
-// fleet-wide on the in-memory context), so figures sharing a threshold
-// share the computation.
+// The census is derived once per network while it is live, so figures
+// sharing a threshold share the computation.
 type censusBG struct {
 	results []*hidden.NetworkResult
 }
@@ -63,7 +62,7 @@ type fig61Acc struct{ censusBG }
 func (a *fig61Acc) prepare(nv *NetView) error { return prepareHidden(nv, 0.10) }
 func (a *fig61Acc) observe(nv *NetView) error { return a.observeAt(nv, 0.10) }
 
-func (a *fig61Acc) finalize(shared) (*Result, error) {
+func (a *fig61Acc) finalize(*StreamContext) (*Result, error) {
 	res := &Result{Header: []string{"rate", "networks", "p25", "median", "p75", "max"}}
 	medians := map[string]float64{}
 	for ri, rate := range phy.BandBG.Rates {
@@ -98,7 +97,7 @@ type fig62Acc struct{ censusBG }
 func (a *fig62Acc) prepare(nv *NetView) error { return prepareHidden(nv, 0.10) }
 func (a *fig62Acc) observe(nv *NetView) error { return a.observeAt(nv, 0.10) }
 
-func (a *fig62Acc) finalize(shared) (*Result, error) {
+func (a *fig62Acc) finalize(*StreamContext) (*Result, error) {
 	ref := phy.BandBG.RateIndex("1M")
 	res := &Result{Header: []string{"rate", "networks", "mean range ratio", "std"}}
 	var prevMean float64 = 2
@@ -135,7 +134,7 @@ type sec63Acc struct{ censusBG }
 func (a *sec63Acc) prepare(nv *NetView) error { return prepareHidden(nv, 0.10) }
 func (a *sec63Acc) observe(nv *NetView) error { return a.observeAt(nv, 0.10) }
 
-func (a *sec63Acc) finalize(shared) (*Result, error) {
+func (a *sec63Acc) finalize(*StreamContext) (*Result, error) {
 	res := &Result{Header: []string{
 		"environment", "networks", "median hidden frac @1M", "median hidden frac @48M", "mean range/size² @1M",
 	}}
@@ -196,7 +195,7 @@ func (a *abl6tAcc) observe(nv *NetView) error {
 	return nil
 }
 
-func (a *abl6tAcc) finalize(shared) (*Result, error) {
+func (a *abl6tAcc) finalize(*StreamContext) (*Result, error) {
 	ri := phy.BandBG.RateIndex("1M")
 	res := &Result{Header: []string{"threshold", "median hidden frac @1M", "median hidden frac @24M"}}
 	ri24 := phy.BandBG.RateIndex("24M")

@@ -16,7 +16,7 @@ func init() {
 
 // fig71 reproduces Figure 7.1: the histogram of distinct APs visited per
 // client (session).
-func fig71(c shared) (*Result, error) {
+func fig71(c *StreamContext) (*Result, error) {
 	a := c.analysis()
 	if a.Sessions == 0 {
 		return nil, fmt.Errorf("no client sessions")
@@ -51,7 +51,7 @@ func fig71(c shared) (*Result, error) {
 }
 
 // fig72 reproduces Figure 7.2: the CDF of client connection lengths.
-func fig72(c shared) (*Result, error) {
+func fig72(c *StreamContext) (*Result, error) {
 	a := c.analysis()
 	if len(a.ConnLengths) == 0 {
 		return nil, fmt.Errorf("no connections")
@@ -59,7 +59,7 @@ func fig72(c shared) (*Result, error) {
 	var hours []float64
 	full := 0
 	dur := 0.0
-	for _, cd := range c.clientData() {
+	for _, cd := range c.cds {
 		if float64(cd.Duration) > dur {
 			dur = float64(cd.Duration)
 		}
@@ -106,7 +106,7 @@ func envQuantiles(byEnv map[string][]float64, scale float64, unit string) *Resul
 }
 
 // fig73 reproduces Figure 7.3: prevalence CDFs by environment.
-func fig73(c shared) (*Result, error) {
+func fig73(c *StreamContext) (*Result, error) {
 	a := c.analysis()
 	res := envQuantiles(a.PrevalenceByEnv, 1, "fraction of connected time")
 	res.Notes = append(res.Notes,
@@ -115,7 +115,7 @@ func fig73(c shared) (*Result, error) {
 }
 
 // fig74 reproduces Figure 7.4: persistence CDFs by environment.
-func fig74(c shared) (*Result, error) {
+func fig74(c *StreamContext) (*Result, error) {
 	a := c.analysis()
 	res := envQuantiles(a.PersistenceByEnv, 1, "seconds")
 	res.Notes = append(res.Notes,
@@ -125,7 +125,7 @@ func fig74(c shared) (*Result, error) {
 
 // fig75 reproduces Figure 7.5: per client, median persistence vs maximum
 // prevalence, summarized by quadrant.
-func fig75(c shared) (*Result, error) {
+func fig75(c *StreamContext) (*Result, error) {
 	a := c.analysis()
 	if len(a.Points) == 0 {
 		return nil, fmt.Errorf("no client points")

@@ -11,13 +11,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
-	"meshlab/internal/conc"
-	"meshlab/internal/dataset"
-	"meshlab/internal/hidden"
-	"meshlab/internal/mobility"
-	"meshlab/internal/routing"
 	"meshlab/internal/snr"
 )
 
@@ -73,25 +67,11 @@ func (r *Result) Format() string {
 	return b.String()
 }
 
-// shared is the fleet-wide derived state an experiment can consume
-// without walking networks: the flattened §4 samples, the client
-// datasets, and the §7 mobility analysis. Both Context (materialized
-// fleet) and StreamContext (single-pass walk) implement it, which is what
-// lets one finalize body serve both execution modes byte-identically.
-type shared interface {
-	SamplesBG() ([]snr.Sample, error)
-	SamplesN() ([]snr.Sample, error)
-	analysis() *mobility.Analysis
-	clientData() []*dataset.ClientData
-}
-
 // accumulator is the streaming decomposition of one experiment: observe
 // is called once per network in fleet order (with per-network derived
 // data available through the NetView), then finalize renders the Result
-// from the accumulated state plus the shared fleet-wide state. The
-// in-memory Context and the streaming StreamContext both execute
-// experiments through this interface, so their tables agree byte for
-// byte by construction.
+// from the accumulated state plus the run's fleet-wide state (client
+// data and the §7 mobility analysis).
 //
 // observe and finalize are never called concurrently on one accumulator,
 // but an accumulator that also implements preparer must keep prepare free
@@ -99,7 +79,7 @@ type shared interface {
 // in-flight networks at once.
 type accumulator interface {
 	observe(nv *NetView) error
-	finalize(sc shared) (*Result, error)
+	finalize(s *StreamContext) (*Result, error)
 }
 
 // preparer is implemented by accumulators whose per-network work is
@@ -113,12 +93,10 @@ type preparer interface {
 
 // sampleObserver is implemented by the §4 accumulators, which consume the
 // flattened samples as per-network groups (exactly the unit the wire
-// format's flat-sample section stores) instead of one materialized slice.
-// A Context feeds the groups by splitting its materialized samples, a
-// StreamContext feeds them straight off the walk or the file section —
-// the accumulator code is identical, so the two modes agree byte for
-// byte while the streaming mode's peak memory is the accumulator's
-// count/histogram tables, not the 90%-of-derived-data sample set.
+// format's flat-sample section stores) instead of one materialized slice:
+// a StreamContext feeds them straight off the walk or the file section,
+// so peak memory is the accumulators' count/histogram tables, not the
+// 90%-of-derived-data sample set.
 //
 // Groups arrive in fleet order within each band; each call carries all
 // samples of one network. Band interleaving differs between sources (a
@@ -127,14 +105,6 @@ type preparer interface {
 // table does naturally.
 type sampleObserver interface {
 	observeSampleGroup(band string, samples []snr.Sample) error
-}
-
-// bandFiltered is optionally implemented by sample accumulators that
-// consume a single band, so a materialized Context run does not flatten
-// a band the experiment would discard (streaming runs flatten per
-// network regardless — some accumulator always wants each band).
-type bandFiltered interface {
-	sampleBand() string
 }
 
 // sampleAcc is the embeddable base of §4 accumulators: the network walk
@@ -147,11 +117,11 @@ func (sampleAcc) observe(*NetView) error { return nil }
 // §4 sample tables, §7 client mobility, ablations over their own fleets —
 // to the accumulator interface. The walk skips these entirely.
 type sharedOnly struct {
-	run func(shared) (*Result, error)
+	run func(*StreamContext) (*Result, error)
 }
 
-func (sharedOnly) observe(*NetView) error                { return nil }
-func (s sharedOnly) finalize(sc shared) (*Result, error) { return s.run(sc) }
+func (sharedOnly) observe(*NetView) error                       { return nil }
+func (o sharedOnly) finalize(s *StreamContext) (*Result, error) { return o.run(s) }
 
 // runner executes one experiment: a fresh accumulator per run.
 type runner struct {
@@ -165,7 +135,7 @@ type runner struct {
 
 var (
 	registry []runner
-	// byID indexes the registry for O(1) lookup in Run. It is built
+	// byID indexes the registry for O(1) lookup by ID. It is built
 	// incrementally by register, which only runs from package init.
 	byID = make(map[string]int)
 )
@@ -177,7 +147,7 @@ func register(id, title string, newAcc func() accumulator) {
 
 // registerShared wires an experiment that only consumes shared fleet-wide
 // state (no per-network walk).
-func registerShared(id, title string, run func(shared) (*Result, error)) {
+func registerShared(id, title string, run func(*StreamContext) (*Result, error)) {
 	register(id, title, func() accumulator { return sharedOnly{run: run} })
 }
 
@@ -271,281 +241,6 @@ func memoCell[T any](m *sync.Map, key any) *memo[T] {
 	}
 	v, _ := m.LoadOrStore(key, new(memo[T]))
 	return v.(*memo[T])
-}
-
-// Context holds a fleet and memoized derived data shared across
-// experiments, so running the full suite does not recompute the expensive
-// routing solutions per figure. Memoization is sharded per key through
-// sync.Once cells, so concurrent experiments block each other only when
-// they need the same derived value.
-type Context struct {
-	Fleet *dataset.Fleet
-
-	// workers caps the context's internal fan-out (the §6 census scan);
-	// 0 means GOMAXPROCS. RunAllParallel records its pool size here so
-	// one -workers knob bounds both experiment scheduling and the
-	// per-network scans experiments launch.
-	workers atomic.Int32
-
-	samplesBG memo[[]snr.Sample]
-	samplesN  memo[[]snr.Sample]
-	mob       memo[*mobility.Analysis]
-	matrices  sync.Map // *dataset.NetworkData → *memo[map[int]routing.Matrix]
-	improved  sync.Map // *dataset.NetworkData → *memo[map[impKey][]routing.PairResult]
-	hiddens   sync.Map // float64 threshold → *memo[map[*dataset.NetworkData]*hidden.NetworkResult]
-}
-
-// impKey identifies one (rate, ETX variant) routing comparison of a
-// network.
-type impKey struct {
-	rate    int
-	variant routing.Variant
-}
-
-// NewContext wraps a fleet for experiment runs.
-func NewContext(f *dataset.Fleet) *Context {
-	return &Context{Fleet: f}
-}
-
-// Run executes the experiment with the given ID: a fresh accumulator
-// observes every network of the fleet in order (skipped entirely for
-// shared-only experiments), then finalizes against the context's shared
-// state. Derived per-network data is memoized on the context, so repeated
-// or concurrent runs never recompute a routing solution or census.
-func (c *Context) Run(id string) (*Result, error) {
-	i, ok := byID[id]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q (known: %s)", id, strings.Join(IDs(), ", "))
-	}
-	r := registry[i]
-	acc := r.newAcc()
-	if so, ok := acc.(sampleObserver); ok {
-		// §4 accumulators consume the materialized (or primed) samples as
-		// per-network groups — the same sequence a streaming walk feeds.
-		if err := c.feedSampleGroups(so); err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", id, err)
-		}
-	} else if _, pure := acc.(sharedOnly); !pure {
-		for _, nd := range c.Fleet.Networks {
-			if err := acc.observe(&NetView{nd: nd, d: c}); err != nil {
-				return nil, fmt.Errorf("experiments: %s: %w", id, err)
-			}
-		}
-	}
-	res, err := acc.finalize(c)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", id, err)
-	}
-	res.ID = r.id
-	res.Title = r.title
-	return res, nil
-}
-
-// RunAll executes every experiment in paper order.
-func (c *Context) RunAll() ([]*Result, error) {
-	var out []*Result
-	for _, id := range IDs() {
-		res, err := c.Run(id)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
-// RunAllParallel executes every experiment across a bounded worker pool
-// (workers ≤ 0 means GOMAXPROCS) and returns the results in the same
-// paper order as RunAll. Every runner is deterministic and the context's
-// memoization is keyed by what is computed — not by who computes it first —
-// so the output tables are byte-identical to a serial run.
-func (c *Context) RunAllParallel(workers int) ([]*Result, error) {
-	ids := IDs()
-	if workers <= 0 {
-		workers = conc.Budget()
-	}
-	c.workers.Store(int32(workers))
-	results := make([]*Result, len(ids))
-	err := forEachParallel(len(ids), workers, func(i int) error {
-		r, err := c.Run(ids[i])
-		results[i] = r
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// workerBound returns the context's internal fan-out cap; without an
-// explicit RunAllParallel pool size it follows the process worker budget.
-func (c *Context) workerBound() int {
-	if w := int(c.workers.Load()); w > 0 {
-		return w
-	}
-	return conc.Budget()
-}
-
-// forEachParallel runs fn over 0..n-1 across a bounded worker pool
-// (workers ≤ 0 means the process worker budget; ≤ 1 runs serially in
-// index order) and returns the error of the lowest index that failed, so
-// the reported failure does not depend on worker scheduling.
-func forEachParallel(n, workers int, fn func(int) error) error {
-	return conc.ForEachN(n, workers, fn)
-}
-
-// feedSampleGroups replays the context's per-band samples through a §4
-// accumulator as per-network groups, skipping bands a single-band
-// accumulator declares it discards (so fig4.1 never flattens the
-// 802.11n samples).
-func (c *Context) feedSampleGroups(so sampleObserver) error {
-	only := ""
-	if bf, ok := so.(bandFiltered); ok {
-		only = bf.sampleBand()
-	}
-	for _, band := range []string{"bg", "n"} {
-		if only != "" && band != only {
-			continue
-		}
-		var samples []snr.Sample
-		var err error
-		if band == "bg" {
-			samples, err = c.SamplesBG()
-		} else {
-			samples, err = c.SamplesN()
-		}
-		if err != nil {
-			return err
-		}
-		if err := snr.ForEachSampleGroup(samples, func(group []snr.Sample) error {
-			return so.observeSampleGroup(band, group)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// PrimeSamples seeds a band's flattened-sample memo with precomputed
-// samples — typically a binary dataset file's flat-sample section (see
-// internal/wire) — so the first §4 experiment skips snr.Flatten entirely.
-// It must be called before any experiment touches the band and the
-// samples must equal what snr.Flatten would produce for the fleet's
-// networks of that band; a later call (or one racing a running
-// experiment) is a no-op, the first computation wins. Unknown band names
-// are ignored.
-func (c *Context) PrimeSamples(band string, samples []snr.Sample) {
-	switch band {
-	case "bg":
-		c.samplesBG.once.Do(func() { c.samplesBG.val = samples })
-	case "n":
-		c.samplesN.once.Do(func() { c.samplesN.val = samples })
-	}
-}
-
-// SamplesBG returns the flattened 802.11b/g probe samples, memoized.
-func (c *Context) SamplesBG() ([]snr.Sample, error) {
-	return c.samplesBG.get(func() ([]snr.Sample, error) {
-		return snr.Flatten(c.Fleet.ByBand("bg"))
-	})
-}
-
-// SamplesN returns the flattened 802.11n probe samples, memoized.
-func (c *Context) SamplesN() ([]snr.Sample, error) {
-	return c.samplesN.get(func() ([]snr.Sample, error) {
-		return snr.Flatten(c.Fleet.ByBand("n"))
-	})
-}
-
-// Matrices returns a network's per-rate mean success matrices, memoized.
-func (c *Context) Matrices(nd *dataset.NetworkData) (map[int]routing.Matrix, error) {
-	return memoCell[map[int]routing.Matrix](&c.matrices, nd).get(func() (map[int]routing.Matrix, error) {
-		return routing.SuccessMatrices(nd)
-	})
-}
-
-// Improvements returns a network's opportunistic-routing comparison at one
-// rate and variant. The first request for a network computes every
-// (rate, variant) pair of that network in one pass — the §5 figures sweep
-// all of them anyway — so each matrix's all-pairs solution is built
-// exactly once per context, no matter how many experiments ask.
-func (c *Context) Improvements(nd *dataset.NetworkData, rate int, v routing.Variant) ([]routing.PairResult, error) {
-	all, err := memoCell[map[impKey][]routing.PairResult](&c.improved, nd).get(func() (map[impKey][]routing.PairResult, error) {
-		ms, err := c.Matrices(nd)
-		if err != nil {
-			return nil, err
-		}
-		return improvementSweep(ms), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return all[impKey{rate: rate, variant: v}], nil
-}
-
-// analysis runs the §7 mobility aggregation once per context.
-func (c *Context) analysis() *mobility.Analysis {
-	a, _ := c.mob.get(func() (*mobility.Analysis, error) {
-		return mobility.Analyze(c.clientData(), mobility.DefaultGap), nil
-	})
-	return a
-}
-
-// clientData returns the fleet's client datasets (the shared interface).
-func (c *Context) clientData() []*dataset.ClientData { return c.Fleet.Clients }
-
-// derivedSource methods: the Context backs NetViews with its fleet-wide
-// memoization, so every observer walking the fleet shares one routing
-// solution and one census per network.
-
-func (c *Context) netMatrices(nd *dataset.NetworkData) (map[int]routing.Matrix, error) {
-	return c.Matrices(nd)
-}
-
-func (c *Context) netImprovements(nd *dataset.NetworkData, rate int, v routing.Variant) ([]routing.PairResult, error) {
-	return c.Improvements(nd, rate, v)
-}
-
-// netHidden returns one network's §6 census at a threshold. The first
-// request for a threshold scans every b/g network of the fleet across the
-// context's worker bound — the censuses are per-network independent — so
-// a single-figure run gets the same multicore scan the full suite does;
-// every later request at that threshold is a map lookup.
-func (c *Context) netHidden(nd *dataset.NetworkData, threshold float64) (*hidden.NetworkResult, error) {
-	all, err := memoCell[map[*dataset.NetworkData]*hidden.NetworkResult](&c.hiddens, threshold).get(
-		func() (map[*dataset.NetworkData]*hidden.NetworkResult, error) {
-			nets := c.Fleet.ByBand("bg")
-			out := make([]*hidden.NetworkResult, len(nets))
-			err := forEachParallel(len(nets), c.workerBound(), func(i int) error {
-				ms, err := c.Matrices(nets[i])
-				if err != nil {
-					return err
-				}
-				out[i], err = hidden.Census(nets[i], ms, threshold)
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			m := make(map[*dataset.NetworkData]*hidden.NetworkResult, len(nets))
-			for i, n := range nets {
-				m[n] = out[i]
-			}
-			return m, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	if nr, ok := all[nd]; ok {
-		return nr, nil
-	}
-	// Networks outside the scanned band (the figures only census b/g) are
-	// analyzed directly, still through the matrix memo.
-	ms, err := c.Matrices(nd)
-	if err != nil {
-		return nil, err
-	}
-	return hidden.Census(nd, ms, threshold)
 }
 
 // f formats a float compactly for table cells.

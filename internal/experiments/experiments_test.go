@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"meshlab/internal/conc"
 	"meshlab/internal/dataset"
 	"meshlab/internal/synth"
 )
@@ -29,10 +30,11 @@ func quickFleet(t testing.TB) *dataset.Fleet {
 
 func runExp(t *testing.T, id string) *Result {
 	t.Helper()
-	res, err := NewContext(quickFleet(t)).Run(id)
+	results, err := runFleet(quickFleet(t), 0, id)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
+	res := results[0]
 	if res.ID != id || res.Title == "" {
 		t.Fatalf("%s: missing metadata: %+v", id, res)
 	}
@@ -65,14 +67,17 @@ func TestIDsComplete(t *testing.T) {
 }
 
 func TestUnknownExperiment(t *testing.T) {
-	if _, err := NewContext(quickFleet(t)).Run("fig9.9"); err == nil {
+	_, err := NewStreamContextFor(1, []string{"fig3.1", "fig9.9"})
+	if err == nil {
 		t.Fatal("unknown experiment should error")
+	}
+	if !strings.Contains(err.Error(), "fig9.9") || !strings.Contains(err.Error(), "ext6.mac") {
+		t.Fatalf("error should name the unknown ID and the known set: %v", err)
 	}
 }
 
 func TestRunAll(t *testing.T) {
-	ctx := NewContext(quickFleet(t))
-	results, err := ctx.RunAll()
+	results, err := runFleet(quickFleet(t), 0, IDs()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +389,7 @@ func BenchmarkRunAllQuick(b *testing.B) {
 	f := quickFleet(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewContext(f).RunAll(); err != nil {
+		if _, err := runFleet(f, 1, IDs()...); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -539,38 +544,38 @@ func TestFormatRowWiderThanHeader(t *testing.T) {
 	}
 }
 
-// TestRunAllParallelMatchesSerial is the §5-determinism contract: the
-// parallel runner must produce byte-identical tables to a serial run on
-// the same fleet, regardless of worker count. Run with -race to also
-// exercise the sharded memoization under concurrency.
+// TestRunAllParallelMatchesSerial is the determinism contract: the full
+// suite is byte-identical whether the process worker budget and the
+// pipeline run it serially or fan it across four workers. Run with -race
+// to also exercise the pipeline under concurrency.
 func TestRunAllParallelMatchesSerial(t *testing.T) {
+	defer conc.SetBudget(0)
 	fleet := quickFleet(t)
-	serial, err := NewContext(fleet).RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 3} {
-		parallel, err := NewContext(fleet).RunAllParallel(workers)
-		if err != nil {
+	var runs [2][]*Result
+	for i, budget := range []int{1, 4} {
+		conc.SetBudget(budget)
+		var err error
+		if runs[i], err = runFleet(fleet, budget, IDs()...); err != nil {
 			t.Fatal(err)
 		}
-		if len(parallel) != len(serial) {
-			t.Fatalf("workers=%d: %d results vs %d serial", workers, len(parallel), len(serial))
-		}
-		for i := range serial {
-			if got, want := parallel[i].Format(), serial[i].Format(); got != want {
-				t.Fatalf("workers=%d: %s diverged from serial run:\n--- parallel ---\n%s\n--- serial ---\n%s",
-					workers, serial[i].ID, got, want)
-			}
+	}
+	serial, parallel := runs[0], runs[1]
+	if len(parallel) != len(serial) {
+		t.Fatalf("%d results in parallel vs %d serial", len(parallel), len(serial))
+	}
+	for i := range serial {
+		if got, want := parallel[i].Format(), serial[i].Format(); got != want {
+			t.Fatalf("%s diverged from serial run:\n--- parallel ---\n%s\n--- serial ---\n%s",
+				serial[i].ID, got, want)
 		}
 	}
 }
 
 func TestRunAllParallelPropagatesErrors(t *testing.T) {
-	// An empty fleet makes several experiments fail; the parallel runner
-	// must surface an error rather than return partial results.
-	ctx := NewContext(&dataset.Fleet{})
-	if _, err := ctx.RunAllParallel(4); err == nil {
+	// An empty fleet makes several experiments fail; a run over every
+	// experiment with parallel finalizers must surface an error rather
+	// than return partial results.
+	if _, err := runFleet(&dataset.Fleet{}, 4, IDs()...); err == nil {
 		t.Fatal("empty fleet should error")
 	}
 }
@@ -579,7 +584,7 @@ func BenchmarkRunAllQuickParallel(b *testing.B) {
 	f := quickFleet(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewContext(f).RunAllParallel(0); err != nil {
+		if _, err := runFleet(f, 0, IDs()...); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,13 +16,17 @@ package experiments
 //
 // A merged-from accumulator must not be observed or finalized afterwards.
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"strings"
+)
 
 // merger is implemented by every registered accumulator: fold other (an
 // accumulator of the same experiment, produced by the same newAcc) into
 // the receiver. StreamContext.Merge drives it index-aligned over the
-// registry, so a future accumulator that forgets to implement it fails
-// loudly there rather than silently dropping a shard's data.
+// run's experiments, so a future accumulator that forgets to implement
+// it fails loudly there rather than silently dropping a shard's data.
 type merger interface {
 	merge(other accumulator) error
 }
@@ -211,10 +215,10 @@ func (s *StreamContext) Drain() error {
 
 // Merge drains both contexts and folds o's accumulator state into this
 // one, as if this context had observed o's networks (and sample groups)
-// after its own. Both contexts must come from NewStreamContext over the
-// same registry (any worker counts); o must have observed a contiguous
-// run of networks that follows this context's, and must not be used
-// afterwards. Client data is not merged — the driver sets it once on the
+// after its own. Both contexts must be built over the same experiment
+// IDs, in the same order (any worker counts); o must have observed a
+// contiguous run of networks that follows this context's, and must not
+// be used afterwards. Client data is not merged — the caller sets it once on the
 // merge target.
 func (s *StreamContext) Merge(o *StreamContext) error {
 	if s.finalized || o.finalized {
@@ -226,8 +230,8 @@ func (s *StreamContext) Merge(o *StreamContext) error {
 	if err := o.Drain(); err != nil {
 		return err
 	}
-	if len(s.accs) != len(o.accs) {
-		return fmt.Errorf("experiments: Merge across different registries (%d vs %d experiments)", len(s.accs), len(o.accs))
+	if !slices.Equal(s.ids, o.ids) {
+		return fmt.Errorf("experiments: Merge across different experiment sets (%s vs %s)", strings.Join(s.ids, ","), strings.Join(o.ids, ","))
 	}
 	for i, acc := range s.accs {
 		m, ok := acc.(merger)
@@ -236,11 +240,6 @@ func (s *StreamContext) Merge(o *StreamContext) error {
 		}
 		if err := m.merge(o.accs[i]); err != nil {
 			return fmt.Errorf("experiments: %s: %w", s.ids[i], err)
-		}
-	}
-	if s.materialize && o.materialize {
-		for band, ss := range o.samples {
-			s.samples[band] = append(s.samples[band], ss...)
 		}
 	}
 	s.samplesDone = s.samplesDone || o.samplesDone

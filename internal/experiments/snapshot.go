@@ -13,8 +13,7 @@ package experiments
 // §3/§5/§6 censuses) serialize the exact prefix sequence — continuing
 // the walk from the next network reproduces the fleet-order appends.
 // Shared-only experiments carry no per-network state and serialize
-// nothing. The one exclusion: a MaterializeSamples run retains full raw
-// samples, which a checkpoint must never embed — Snapshot refuses it.
+// nothing.
 //
 // A snapshot must be taken from the driver goroutine between Observes
 // (or between sample groups), after Flush has quiesced the pipeline —
@@ -36,7 +35,7 @@ const streamSnapVersion = 1
 // snapshotter is implemented by every registered accumulator: serialize
 // partial state into the sticky-error writer, and load it back. Restore
 // runs on a freshly constructed accumulator of the same registration.
-// StreamContext.Snapshot drives it registry-aligned, so a future
+// StreamContext.Snapshot drives it index-aligned, so a future
 // accumulator that forgets to implement it fails loudly there.
 type snapshotter interface {
 	snapshot(w *binio.Writer)
@@ -457,9 +456,6 @@ func (s *StreamContext) Flush() error {
 // networks/groups finalizes byte-identically to an uninterrupted run.
 // The context remains live and may continue observing.
 func (s *StreamContext) Snapshot(w io.Writer) error {
-	if s.materialize {
-		return fmt.Errorf("experiments: Snapshot of a MaterializeSamples run (retained raw samples are not checkpointable)")
-	}
 	if s.drained || s.finalized {
 		return fmt.Errorf("experiments: Snapshot after Drain/Finalize")
 	}
@@ -489,7 +485,8 @@ func (s *StreamContext) Snapshot(w io.Writer) error {
 }
 
 // Restore loads a Snapshot into this context, which must be freshly
-// constructed (same registry; any worker count) and not yet observed.
+// constructed over the same experiment IDs (any worker count) and not
+// yet observed.
 // The driver then continues the walk from the first network (and sample
 // group) the snapshot had not fully observed. Corrupt or mismatched
 // snapshots error without partially mutating accumulator state in ways a
@@ -513,7 +510,7 @@ func (s *StreamContext) Restore(r io.Reader) error {
 		return fmt.Errorf("experiments: snapshot claims %d networks", networks)
 	}
 	if n != len(s.accs) {
-		return fmt.Errorf("experiments: snapshot has %d experiments, registry %d", n, len(s.accs))
+		return fmt.Errorf("experiments: snapshot has %d experiments, context %d", n, len(s.accs))
 	}
 	for i, acc := range s.accs {
 		id := br.String()
@@ -521,7 +518,7 @@ func (s *StreamContext) Restore(r io.Reader) error {
 			return fmt.Errorf("experiments: snapshot: %w", err)
 		}
 		if id != s.ids[i] {
-			return fmt.Errorf("experiments: snapshot experiment %q at slot %d, registry %q", id, i, s.ids[i])
+			return fmt.Errorf("experiments: snapshot experiment %q at slot %d, context %q", id, i, s.ids[i])
 		}
 		sn, ok := acc.(snapshotter)
 		if !ok {

@@ -66,7 +66,7 @@ func compareRuns(t *testing.T, label string, got, want []*Result) {
 // must not disturb the run that continues.
 func TestStreamSnapshotResumeMatchesUninterrupted(t *testing.T) {
 	f := quickFleet(t)
-	want := streamRun(t, f, 2, false)
+	want := streamRun(t, f, 2)
 
 	splits := []int{1, len(f.Networks) / 2, len(f.Networks) - 1}
 	for _, mid := range splits {
@@ -152,8 +152,8 @@ func TestStreamSnapshotResumeDeferredSamples(t *testing.T) {
 	}
 
 	want, _ := run(-1)
-	// Sanity: the group-fed deferred walk matches the primed path.
-	compareRuns(t, "group-fed-deferred", want, streamRun(t, f, 2, true))
+	// Sanity: the group-fed deferred walk matches the walk-flattened path.
+	compareRuns(t, "group-fed-deferred", want, streamRun(t, f, 2))
 
 	for _, snapAt := range []int{1, len(groups) / 2, len(groups) - 1} {
 		cont, snap := run(snapAt)
@@ -180,20 +180,10 @@ func TestStreamSnapshotResumeDeferredSamples(t *testing.T) {
 }
 
 // TestStreamSnapshotLifecycleAndCorruption pins the guardrails: refusal
-// on materialized/used contexts, and contextual errors (never panics,
-// never silent partial restores) on corrupt snapshots.
+// on used or differently built contexts, and contextual errors (never
+// panics, never silent partial restores) on corrupt snapshots.
 func TestStreamSnapshotLifecycleAndCorruption(t *testing.T) {
 	f := quickFleet(t)
-
-	// A MaterializeSamples run retains raw samples and must refuse.
-	mat := NewStreamContext(1)
-	mat.MaterializeSamples()
-	if err := mat.Observe(f.Networks[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := mat.Snapshot(&bytes.Buffer{}); err == nil {
-		t.Fatal("Snapshot of a MaterializeSamples run should refuse")
-	}
 
 	// Build a valid snapshot to corrupt.
 	sc := NewStreamContext(2)
@@ -208,9 +198,18 @@ func TestStreamSnapshotLifecycleAndCorruption(t *testing.T) {
 	}
 	snap := buf.Bytes()
 
-	// Restore only loads into a fresh context.
+	// Restore only loads into a fresh context over the same experiments.
 	if err := sc.Restore(bytes.NewReader(snap)); err == nil {
 		t.Fatal("Restore on a used context should refuse")
+	}
+	for _, ids := range [][]string{SampleIDs(), append(IDs()[1:], IDs()[0])} {
+		other, err := NewStreamContextFor(1, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := other.Restore(bytes.NewReader(snap)); err == nil {
+			t.Fatalf("Restore into a context over %v should refuse", ids)
+		}
 	}
 
 	// Truncations at every stride must error, never panic.

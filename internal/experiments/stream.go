@@ -1,23 +1,22 @@
 package experiments
 
-// stream.go implements the single-pass execution mode of the experiment
-// suite. A StreamContext consumes a fleet one decoded network at a time
-// (typically fed by a wire.Reader walk — see meshlab.StreamFleet), runs
-// every registered experiment's accumulator over each network before the
-// network is released, and finalizes into the same []*Result a
-// materialized Context produces — byte-identical, since both modes
-// execute the identical accumulator code over identical per-network
-// inputs in identical fleet order. The §4 samples flow the same way:
-// per-network groups (flattened off the walk, or streamed from a file's
-// flat-sample section) feed chunked accumulators and are released, so
-// peak memory is bounded by the derived tables the accumulators retain
-// (improvement distributions, censuses, count/histogram tables) plus the
-// bounded window of in-flight networks — never by the fleet or the
-// sample count.
+// stream.go implements the experiment suite's execution engine. A
+// StreamContext consumes a fleet one network at a time, in fleet order —
+// from a wire.Reader walk (meshlab.StreamFleet) or an in-memory fleet
+// (meshlab.RunFleet) — runs every selected experiment's accumulator over
+// each network before the network is released, and finalizes into one
+// []*Result, byte-identical at any worker count. The §4 samples flow the
+// same way: per-network groups (flattened off the walk, or streamed from
+// a file's flat-sample section) feed chunked accumulators and are
+// released, so peak memory is bounded by the derived tables the
+// accumulators retain (improvement distributions, censuses,
+// count/histogram tables) plus the bounded window of in-flight networks —
+// never by the fleet or the sample count.
 
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"meshlab/internal/conc"
@@ -28,49 +27,16 @@ import (
 	"meshlab/internal/snr"
 )
 
-// derivedSource supplies a NetView's lazily computed per-network derived
-// data. The Context implementation memoizes fleet-wide; the streaming
-// implementation caches only while its network is alive.
-type derivedSource interface {
-	netMatrices(nd *dataset.NetworkData) (map[int]routing.Matrix, error)
-	netImprovements(nd *dataset.NetworkData, rate int, v routing.Variant) ([]routing.PairResult, error)
-	netHidden(nd *dataset.NetworkData, threshold float64) (*hidden.NetworkResult, error)
-}
-
 // NetView hands an observer one network plus its derived data — routing
 // success matrices, opportunistic-routing comparisons, hidden-triple
 // censuses — computed at most once per network no matter how many
-// experiments ask. Views are not safe for concurrent use; the pipeline
-// hands each network's view to one goroutine at a time.
+// experiments ask, and cached only while the network is live. Views are
+// not safe for concurrent use; the pipeline hands each network's view to
+// one goroutine at a time (a worker during prepare, then the collector
+// during the ordered observe), so they need no locking.
 type NetView struct {
 	nd *dataset.NetworkData
-	d  derivedSource
-}
 
-// Data returns the decoded network.
-func (nv *NetView) Data() *dataset.NetworkData { return nv.nd }
-
-// Matrices returns the network's per-rate mean success matrices.
-func (nv *NetView) Matrices() (map[int]routing.Matrix, error) {
-	return nv.d.netMatrices(nv.nd)
-}
-
-// Improvements returns the network's opportunistic-routing comparison at
-// one rate and ETX variant; all (rate, variant) pairs are computed on the
-// first request.
-func (nv *NetView) Improvements(rate int, v routing.Variant) ([]routing.PairResult, error) {
-	return nv.d.netImprovements(nv.nd, rate, v)
-}
-
-// Hidden returns the network's §6 triple census at a hearing threshold.
-func (nv *NetView) Hidden(threshold float64) (*hidden.NetworkResult, error) {
-	return nv.d.netHidden(nv.nd, threshold)
-}
-
-// streamDerived caches one live network's derived data. It is used from
-// one goroutine at a time (a pipeline worker during prepare, then the
-// collector during the ordered observe), so it needs no locking.
-type streamDerived struct {
 	ms     map[int]routing.Matrix
 	msErr  error
 	msDone bool
@@ -82,30 +48,62 @@ type streamDerived struct {
 	hiddens map[float64]*hidden.NetworkResult
 }
 
-func (d *streamDerived) netMatrices(nd *dataset.NetworkData) (map[int]routing.Matrix, error) {
-	if !d.msDone {
-		d.ms, d.msErr = routing.SuccessMatrices(nd)
-		d.msDone = true
-	}
-	return d.ms, d.msErr
+// impKey identifies one (rate, ETX variant) routing comparison of a
+// network.
+type impKey struct {
+	rate    int
+	variant routing.Variant
 }
 
-func (d *streamDerived) netImprovements(nd *dataset.NetworkData, rate int, v routing.Variant) ([]routing.PairResult, error) {
-	if !d.impsDone {
-		d.impsDone = true
-		ms, err := d.netMatrices(nd)
+// Data returns the decoded network.
+func (nv *NetView) Data() *dataset.NetworkData { return nv.nd }
+
+// Matrices returns the network's per-rate mean success matrices.
+func (nv *NetView) Matrices() (map[int]routing.Matrix, error) {
+	if !nv.msDone {
+		nv.ms, nv.msErr = routing.SuccessMatrices(nv.nd)
+		nv.msDone = true
+	}
+	return nv.ms, nv.msErr
+}
+
+// Improvements returns the network's opportunistic-routing comparison at
+// one rate and ETX variant; all (rate, variant) pairs are computed on the
+// first request, since the §5 figures sweep every pair anyway.
+func (nv *NetView) Improvements(rate int, v routing.Variant) ([]routing.PairResult, error) {
+	if !nv.impsDone {
+		nv.impsDone = true
+		ms, err := nv.Matrices()
 		if err != nil {
-			d.impsErr = err
+			nv.impsErr = err
 		} else {
-			// All (rate, variant) pairs at once, as Context.Improvements
-			// does: the §5 figures sweep every pair anyway.
-			d.imps = improvementSweep(ms)
+			nv.imps = improvementSweep(ms)
 		}
 	}
-	if d.impsErr != nil {
-		return nil, d.impsErr
+	if nv.impsErr != nil {
+		return nil, nv.impsErr
 	}
-	return d.imps[impKey{rate: rate, variant: v}], nil
+	return nv.imps[impKey{rate: rate, variant: v}], nil
+}
+
+// Hidden returns the network's §6 triple census at a hearing threshold.
+func (nv *NetView) Hidden(threshold float64) (*hidden.NetworkResult, error) {
+	if nr, ok := nv.hiddens[threshold]; ok {
+		return nr, nil
+	}
+	ms, err := nv.Matrices()
+	if err != nil {
+		return nil, err
+	}
+	nr, err := hidden.Census(nv.nd, ms, threshold)
+	if err != nil {
+		return nil, err
+	}
+	if nv.hiddens == nil {
+		nv.hiddens = make(map[float64]*hidden.NetworkResult, 4)
+	}
+	nv.hiddens[threshold] = nr
+	return nr, nil
 }
 
 // improvementSweep computes a network's opportunistic-routing comparison
@@ -133,25 +131,6 @@ func improvementSweep(ms map[int]routing.Matrix) map[impKey][]routing.PairResult
 	return out
 }
 
-func (d *streamDerived) netHidden(nd *dataset.NetworkData, threshold float64) (*hidden.NetworkResult, error) {
-	if nr, ok := d.hiddens[threshold]; ok {
-		return nr, nil
-	}
-	ms, err := d.netMatrices(nd)
-	if err != nil {
-		return nil, err
-	}
-	nr, err := hidden.Census(nd, ms, threshold)
-	if err != nil {
-		return nil, err
-	}
-	if d.hiddens == nil {
-		d.hiddens = make(map[float64]*hidden.NetworkResult, 4)
-	}
-	d.hiddens[threshold] = nr
-	return nr, nil
-}
-
 // streamJob is one network moving through the pipeline: a worker fills
 // the view's derived cache (prepare), then the collector applies the
 // ordered observes and drops the job — releasing the network.
@@ -161,14 +140,15 @@ type streamJob struct {
 	done chan struct{}
 }
 
-// StreamContext runs the full experiment suite over a single streaming
-// walk of a fleet. The driver calls Observe once per network in fleet
-// order (from one goroutine), SetClients and optionally PrimeSamples for
-// the trailing sections, then Finalize for the results. Per-network heavy
-// work — routing solutions, improvement sweeps, triple censuses — fans
-// across a bounded worker pool while accumulator state is updated
-// strictly in fleet order, so the emitted results are byte-identical to
-// Context.RunAllParallel over the materialized fleet, at any pool size.
+// StreamContext runs a set of experiments over a single walk of a fleet.
+// The caller calls Observe once per network in fleet order (from one
+// goroutine), SetClients and, on a DeferSamples run, the sample groups
+// of the trailing section, then Finalize for the results. A run over no
+// networks at all is the §4 sample-only mode: DeferSamples plus the
+// groups of a dataset file. Per-network heavy work — routing solutions,
+// improvement sweeps, triple censuses — fans across a bounded worker
+// pool while accumulator state is updated strictly in fleet order, so
+// the emitted results are byte-identical at any pool size.
 type StreamContext struct {
 	workers int
 	ids     []string
@@ -189,12 +169,9 @@ type StreamContext struct {
 	// released with the network), or the driver defers to a dataset file's
 	// flat-sample section and streams its groups through
 	// ObserveSampleGroup after the walk (the section trails the network
-	// records on disk). Full samples are retained only under the explicit
-	// MaterializeSamples knob.
+	// records on disk).
 	deferSamples bool
-	materialize  bool
 	samplesDone  bool
-	samples      map[string][]snr.Sample
 	sampleObs    []sampleObsAt
 
 	cds []*dataset.ClientData
@@ -205,65 +182,63 @@ type StreamContext struct {
 	finalized bool
 }
 
-// sampleObsAt pairs a §4 accumulator with its registry slot, for error
+// sampleObsAt pairs a §4 accumulator with its slot in the run, for error
 // context.
 type sampleObsAt struct {
 	idx int
 	so  sampleObserver
 }
 
-// NewStreamContext prepares a streaming run of every registered
-// experiment. workers bounds the pipeline (≤ 0 means the process worker
+// NewStreamContext prepares a run of every registered experiment, in
+// paper order. workers bounds the pipeline (≤ 0 means the process worker
 // budget); it also bounds how many decoded networks are in flight at
 // once.
 func NewStreamContext(workers int) *StreamContext {
+	s, err := NewStreamContextFor(workers, IDs())
+	if err != nil {
+		panic(err) // IDs() lists only registered experiments
+	}
+	return s
+}
+
+// NewStreamContextFor prepares a run of the given experiments, whose
+// results Finalize returns in the order ids are given. An unknown ID is
+// an error naming the known set. workers is as for NewStreamContext.
+func NewStreamContextFor(workers int, ids []string) (*StreamContext, error) {
 	if workers <= 0 {
 		workers = conc.Budget()
 	}
 	s := &StreamContext{
 		workers:       workers,
-		ids:           IDs(),
+		ids:           append([]string(nil), ids...),
 		jobs:          make(chan *streamJob, workers),
 		collectorDone: make(chan struct{}),
 	}
 	s.idle = sync.NewCond(&s.mu)
-	for _, id := range s.ids {
-		s.accs = append(s.accs, registry[byID[id]].newAcc())
-	}
-	for i, acc := range s.accs {
+	for i, id := range s.ids {
+		r, ok := byID[id]
+		if !ok {
+			return nil, fmt.Errorf("experiments: unknown experiment %q (known: %s)", id, strings.Join(IDs(), ", "))
+		}
+		acc := registry[r].newAcc()
+		s.accs = append(s.accs, acc)
 		if so, ok := acc.(sampleObserver); ok {
 			s.sampleObs = append(s.sampleObs, sampleObsAt{idx: i, so: so})
 		}
 	}
-	return s
+	return s, nil
 }
 
 // DeferSamples declares that the §4 samples will arrive as groups via
-// ObserveSampleGroup (or PrimeSamples) after the walk — a dataset file's
-// flat-sample section — so the walk skips incremental flattening. Must
-// be called before the first Observe; the driver must then call
-// FinishSamples (directly or via PrimeSamples) before Finalize.
+// ObserveSampleGroup after the walk — a dataset file's flat-sample
+// section — so the walk skips incremental flattening. Must be called
+// before the first Observe; the caller must then call FinishSamples
+// before Finalize.
 func (s *StreamContext) DeferSamples() { s.deferSamples = true }
 
-// MaterializeSamples makes the run retain the full per-band §4 samples so
-// SamplesBG/SamplesN serve them, restoring the pre-chunked memory
-// profile. No registered experiment needs it — every §4 table consumes
-// groups — but an extension that genuinely needs global sample order can
-// opt in. Must be called before the first Observe.
-func (s *StreamContext) MaterializeSamples() {
-	s.materialize = true
-	if s.samples == nil {
-		s.samples = make(map[string][]snr.Sample, 2)
-	}
-}
-
-// feedSampleGroup hands one network's samples to every §4 accumulator
-// (fanned across the worker budget — their states are independent) and,
-// under MaterializeSamples, appends them to the retained per-band slices.
+// feedSampleGroup hands one network's samples to every §4 accumulator,
+// fanned across the worker budget — their states are independent.
 func (s *StreamContext) feedSampleGroup(band string, group []snr.Sample) error {
-	if s.materialize {
-		s.samples[band] = append(s.samples[band], group...)
-	}
 	return conc.ForEach(len(s.sampleObs), func(k int) error {
 		o := s.sampleObs[k]
 		if err := o.so.observeSampleGroup(band, group); err != nil {
@@ -293,22 +268,6 @@ func (s *StreamContext) ObserveSampleGroup(band string, samples []snr.Sample) er
 // emitting empty §4 tables; a section with zero groups is still
 // "complete".
 func (s *StreamContext) FinishSamples() { s.samplesDone = true }
-
-// PrimeSamples supplies one band's pre-flattened §4 samples, splitting
-// them into per-network groups for the chunked accumulators. The samples
-// must equal what snr.Flatten derives for the walked networks of that
-// band (dataset files guarantee this; see internal/wire). Unknown bands
-// are ignored. It is the materialized-slice compatibility form of
-// ObserveSampleGroup.
-func (s *StreamContext) PrimeSamples(band string, samples []snr.Sample) error {
-	if band != "bg" && band != "n" {
-		return nil
-	}
-	s.samplesDone = true
-	return snr.ForEachSampleGroup(samples, func(group []snr.Sample) error {
-		return s.feedSampleGroup(band, group)
-	})
-}
 
 // SetClients supplies the client datasets (the file section after the
 // networks). Must be called before Finalize.
@@ -342,7 +301,7 @@ func (s *StreamContext) Observe(nd *dataset.NetworkData) error {
 	}
 	s.mu.Unlock()
 	j := &streamJob{
-		nv:   &NetView{nd: nd, d: &streamDerived{}},
+		nv:   &NetView{nd: nd},
 		done: make(chan struct{}),
 	}
 	s.jobs <- j // FIFO: the collector applies jobs in send order
@@ -390,12 +349,13 @@ func (s *StreamContext) collect() {
 }
 
 // applyOrdered runs the serial, order-sensitive part of one network:
-// flatten-and-feed of its §4 sample group, then every accumulator's
-// observe. The flattened samples are released with the network — the
-// chunked accumulators retain only their tables — so a section-less
-// stream is sample-bounded too.
+// flatten-and-feed of its §4 sample group (skipped when no selected
+// experiment consumes samples), then every accumulator's observe. The
+// flattened samples are released with the network — the chunked
+// accumulators retain only their tables — so a section-less stream is
+// sample-bounded too.
 func (s *StreamContext) applyOrdered(nv *NetView) error {
-	if !s.deferSamples {
+	if !s.deferSamples && len(s.sampleObs) > 0 {
 		nd := nv.Data()
 		group, err := snr.Flatten([]*dataset.NetworkData{nd})
 		if err != nil {
@@ -424,8 +384,8 @@ func (s *StreamContext) Stats() (networks, maxInFlight int) {
 	return s.networks, s.maxInFlight
 }
 
-// Finalize drains the pipeline and renders every experiment, in paper
-// order, fanning finalizers across the worker pool. It must be called
+// Finalize drains the pipeline and renders every experiment of the run,
+// in its order, fanning finalizers across the worker pool. It must be called
 // exactly once, after the last Observe (and, on a DeferSamples run,
 // after the sample-group walk).
 func (s *StreamContext) Finalize() ([]*Result, error) {
@@ -440,7 +400,7 @@ func (s *StreamContext) Finalize() ([]*Result, error) {
 		return nil, fmt.Errorf("experiments: DeferSamples without a sample walk: the network walk skipped flattening but no flat-sample groups were observed (stream the section through ObserveSampleGroup, then FinishSamples)")
 	}
 	results := make([]*Result, len(s.accs))
-	err := forEachParallel(len(s.accs), s.workers, func(i int) error {
+	err := conc.ForEachN(len(s.accs), s.workers, func(i int) error {
 		res, err := s.accs[i].finalize(s)
 		if err != nil {
 			return fmt.Errorf("experiments: %s: %w", s.ids[i], err)
@@ -457,36 +417,11 @@ func (s *StreamContext) Finalize() ([]*Result, error) {
 	return results, nil
 }
 
-// shared interface: the streaming run's fleet-wide state.
-
-// materializedSamples serves a band's full sample slice, which a chunked
-// run deliberately does not retain: every registered §4 experiment
-// consumes groups instead. The explicit MaterializeSamples knob restores
-// retention for extensions that need global sample order.
-func (s *StreamContext) materializedSamples(band string) ([]snr.Sample, error) {
-	if !s.materialize {
-		return nil, fmt.Errorf("experiments: the chunked streaming run does not retain full §4 samples; call MaterializeSamples (meshlab: StreamOptions.MaterializeSamples) if an experiment needs global sample order")
-	}
-	return s.samples[band], nil
-}
-
-// SamplesBG returns the flattened 802.11b/g probe samples of the walk
-// (MaterializeSamples runs only).
-func (s *StreamContext) SamplesBG() ([]snr.Sample, error) {
-	return s.materializedSamples("bg")
-}
-
-// SamplesN returns the flattened 802.11n probe samples of the walk
-// (MaterializeSamples runs only).
-func (s *StreamContext) SamplesN() ([]snr.Sample, error) {
-	return s.materializedSamples("n")
-}
-
+// analysis runs the §7 mobility aggregation over the run's client data
+// once.
 func (s *StreamContext) analysis() *mobility.Analysis {
 	a, _ := s.mob.get(func() (*mobility.Analysis, error) {
 		return mobility.Analyze(s.cds, mobility.DefaultGap), nil
 	})
 	return a
 }
-
-func (s *StreamContext) clientData() []*dataset.ClientData { return s.cds }

@@ -9,68 +9,34 @@ import (
 	"meshlab/internal/dataset"
 	"meshlab/internal/hidden"
 	"meshlab/internal/routing"
-	"meshlab/internal/snr"
 )
 
-// streamRun pushes a materialized fleet through a StreamContext the way a
-// wire.Reader walk would, returning the finalized results.
-func streamRun(t *testing.T, f *dataset.Fleet, workers int, prime bool) []*Result {
-	t.Helper()
-	sc := NewStreamContext(workers)
-	if prime {
-		sc.DeferSamples()
+// runFleet pushes a materialized fleet through a StreamContext over ids
+// the way a wire.Reader walk would, flattening the §4 samples off the
+// walk, and returns the finalized results.
+func runFleet(f *dataset.Fleet, workers int, ids ...string) ([]*Result, error) {
+	sc, err := NewStreamContextFor(workers, ids)
+	if err != nil {
+		return nil, err
 	}
 	for _, nd := range f.Networks {
 		if err := sc.Observe(nd); err != nil {
-			t.Fatal(err)
+			sc.Finalize() // joins the pipeline; the Observe error wins
+			return nil, err
 		}
 	}
 	sc.SetClients(f.Clients)
-	if prime {
-		for _, band := range []string{"bg", "n"} {
-			samples, err := snr.Flatten(f.ByBand(band))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc.PrimeSamples(band, samples)
-		}
-	}
-	results, err := sc.Finalize()
+	return sc.Finalize()
+}
+
+// streamRun is runFleet over every experiment, failing the test on error.
+func streamRun(t *testing.T, f *dataset.Fleet, workers int) []*Result {
+	t.Helper()
+	results, err := runFleet(f, workers, IDs()...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return results
-}
-
-// TestStreamMatchesContext is the suite-level oracle: a streaming run
-// must emit byte-identical results to the materialized parallel runner,
-// at any pipeline width, with samples flattened incrementally or primed.
-func TestStreamMatchesContext(t *testing.T) {
-	f := quickFleet(t)
-	want, err := NewContext(f).RunAllParallel(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cfg := range []struct {
-		name    string
-		workers int
-		prime   bool
-	}{
-		{"serial", 1, false},
-		{"parallel", 4, false},
-		{"parallel-primed", 3, true},
-	} {
-		got := streamRun(t, f, cfg.workers, cfg.prime)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d results vs %d", cfg.name, len(got), len(want))
-		}
-		for i := range want {
-			if g, w := got[i].Format(), want[i].Format(); g != w {
-				t.Fatalf("%s: %s diverged from the materialized run:\n--- stream ---\n%s\n--- context ---\n%s",
-					cfg.name, want[i].ID, g, w)
-			}
-		}
-	}
 }
 
 // TestStreamBoundedInFlight pins the memory contract: the pipeline never
@@ -102,7 +68,8 @@ func TestStreamBoundedInFlight(t *testing.T) {
 }
 
 // TestStreamLifecycleErrors: the context enforces its single-use walk
-// protocol and surfaces a deferred-but-never-primed sample section.
+// protocol, surfaces a deferred-but-never-primed sample section, and
+// refuses to merge contexts built over different experiments.
 func TestStreamLifecycleErrors(t *testing.T) {
 	f := quickFleet(t)
 
@@ -117,7 +84,7 @@ func TestStreamLifecycleErrors(t *testing.T) {
 		t.Fatal("double Finalize should error")
 	}
 
-	// DeferSamples with no PrimeSamples: the §4 experiments must fail
+	// DeferSamples with no sample groups: the §4 experiments must fail
 	// loudly instead of silently running on zero samples.
 	sc = NewStreamContext(1)
 	sc.DeferSamples()
@@ -130,37 +97,48 @@ func TestStreamLifecycleErrors(t *testing.T) {
 	if _, err := sc.Finalize(); err == nil {
 		t.Fatal("deferred-but-unprimed samples should fail Finalize")
 	}
-}
 
-// TestHiddenCensusParallelOracle: the context's §6 scan — which fans
-// every b/g network across the worker bound on the first census request —
-// must agree exactly, at any pool size, with the serial package-level
-// census.
-func TestHiddenCensusParallelOracle(t *testing.T) {
-	f := quickFleet(t)
-	nets := f.ByBand("bg")
-	serial, err := hidden.AnalyzeAll(nets, 0.10)
+	a := NewStreamContext(1)
+	b, err := NewStreamContextFor(1, SampleIDs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int32{1, 5} {
-		ctx := NewContext(f)
-		ctx.workers.Store(workers)
-		for i, nd := range nets {
-			nr, err := ctx.netHidden(nd, 0.10)
-			if err != nil {
+	if err := a.Merge(b); err == nil {
+		t.Fatal("Merge across different experiment sets should error")
+	}
+}
+
+// TestHiddenCensusParallelOracle: the §6 censuses the pipeline derives
+// on its workers — several networks in flight at once — must agree
+// exactly, at any pool size, with the serial package-level census.
+func TestHiddenCensusParallelOracle(t *testing.T) {
+	f := quickFleet(t)
+	serial, err := hidden.AnalyzeAll(f.ByBand("bg"), 0.10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 5} {
+		sc, err := NewStreamContextFor(workers, []string{"fig6.1"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nd := range f.Networks {
+			if err := sc.Observe(nd); err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(nr, serial[i]) {
-				t.Fatalf("workers=%d: context census for %s diverges from hidden.AnalyzeAll", workers, nd.Info.Name)
-			}
+		}
+		if err := sc.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if got := sc.accs[0].(*fig61Acc).results; !reflect.DeepEqual(got, serial) {
+			t.Fatalf("workers=%d: pipeline censuses diverge from hidden.AnalyzeAll", workers)
 		}
 	}
 }
 
 // TestSampleIDs: the sample-only population is exactly the §4 artifacts
-// plus the §4.5 extension, and runs against a fleet-less context primed
-// with samples.
+// plus the §4.5 extension, and runs on a fleet-less context fed only the
+// sample groups, byte-identically to a walk of the full fleet.
 func TestSampleIDs(t *testing.T) {
 	want := []string{"fig4.1", "fig4.2", "fig4.3", "fig4.4", "fig4.5", "fig4.6", "tab4.1", "ext4.topk"}
 	if got := SampleIDs(); !reflect.DeepEqual(got, want) {
@@ -171,25 +149,27 @@ func TestSampleIDs(t *testing.T) {
 	}
 
 	f := quickFleet(t)
-	full := NewContext(f)
-	bare := NewContext(&dataset.Fleet{})
-	for _, band := range []string{"bg", "n"} {
-		samples, err := snr.Flatten(f.ByBand(band))
-		if err != nil {
-			t.Fatal(err)
-		}
-		bare.PrimeSamples(band, samples)
+	full, err := runFleet(f, 2, SampleIDs()...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, id := range SampleIDs() {
-		a, err := bare.Run(id)
-		if err != nil {
-			t.Fatalf("%s on a sample-only context: %v", id, err)
-		}
-		b, err := full.Run(id)
-		if err != nil {
+	bare, err := NewStreamContextFor(2, SampleIDs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare.DeferSamples()
+	for _, g := range bandGroups(t, f) {
+		if err := bare.ObserveSampleGroup(g.band, g.samples); err != nil {
 			t.Fatal(err)
 		}
-		if a.Format() != b.Format() {
+	}
+	bare.FinishSamples()
+	got, err := bare.Finalize()
+	if err != nil {
+		t.Fatalf("sample-only context: %v", err)
+	}
+	for i, id := range SampleIDs() {
+		if got[i].ID != id || got[i].Format() != full[i].Format() {
 			t.Fatalf("%s diverges between sample-only and full context", id)
 		}
 	}

@@ -135,9 +135,8 @@ func (nr *NetworkResult) RangeRatio(ri, refRate int) (float64, bool) {
 
 // Census computes relevant/hidden triples and range for every rate of a
 // network from its precomputed per-rate success matrices. Callers that
-// already solved the matrices (experiment contexts memoize them, streaming
-// walks derive them once per live network) use it to avoid the
-// recomputation Analyze performs.
+// already solved the matrices (the experiment walk derives them once per
+// live network) use it to avoid the recomputation Analyze performs.
 func Census(nd *dataset.NetworkData, ms map[int]routing.Matrix, threshold float64) (*NetworkResult, error) {
 	band, err := nd.Band()
 	if err != nil {

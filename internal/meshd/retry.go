@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"meshlab"
+	"meshlab/internal/retry"
 	"meshlab/internal/wire"
 )
 
@@ -60,17 +61,6 @@ func (s *Server) retryBase() time.Duration {
 	return 250 * time.Millisecond
 }
 
-// warmBackoff returns retry k's sleep: capped exponential with jitter
-// from the warm's own rng — the shard workers' schedule, reused so
-// concurrent retrying warms desynchronize deterministically.
-func warmBackoff(base time.Duration, k int, rng *rand.Rand) time.Duration {
-	d := base << uint(k)
-	if max := base << 6; d > max || d <= 0 {
-		d = max
-	}
-	return d + time.Duration(rng.Int63n(int64(d)/2+1))
-}
-
 // warm drives one registration generation to ready or failed: build the
 // snapshot, publish on success, retry transient failures with backoff,
 // fail fast on permanent ones. Every state transition is generation-
@@ -103,7 +93,7 @@ func (s *Server) warm(ctx context.Context, cancel context.CancelFunc, d *dsEntry
 			d.fail(gen, err)
 			return
 		}
-		wait := warmBackoff(s.retryBase(), attempt-1, rng)
+		wait := retry.Backoff(s.retryBase(), attempt-1, rng)
 		if !d.scheduleRetry(gen, attempt, err, time.Now().Add(wait)) {
 			return // superseded
 		}
@@ -119,16 +109,15 @@ func (s *Server) warm(ctx context.Context, cancel context.CancelFunc, d *dsEntry
 // retrySleep waits out a backoff, aborting early when the warm's
 // context cancels or the server starts shutting down.
 func (s *Server) retrySleep(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-s.closing:
+	c, stop := s.closingAware(ctx)
+	defer stop()
+	if err := retry.Sleep(c, d); err != nil {
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
 		return ErrClosed
-	case <-t.C:
-		return nil
 	}
+	return nil
 }
 
 // beginAttempt records that attempt n is running (clearing any pending

@@ -48,6 +48,7 @@ import (
 	"meshlab/internal/conc"
 	"meshlab/internal/dataset"
 	"meshlab/internal/experiments"
+	"meshlab/internal/retry"
 	"meshlab/internal/wire"
 )
 
@@ -299,29 +300,6 @@ func Run(ctx context.Context, path string, opts Options) (*Result, error) {
 	return runFile(ctx, path, opts)
 }
 
-// backoff returns attempt k's sleep: capped exponential with
-// deterministic jitter from the shard's own rng, so concurrent shards
-// desynchronize without making test runs timing-dependent.
-func backoff(base time.Duration, attempt int, rng *rand.Rand) time.Duration {
-	d := base << uint(attempt)
-	if max := base << 6; d > max || d <= 0 {
-		d = max
-	}
-	return d + time.Duration(rng.Int63n(int64(d)/2+1))
-}
-
-// sleep waits d or until ctx cancels, whichever first.
-func sleep(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
 // shardRng seeds a shard's jitter stream from its index alone, so a
 // scenario replays identically at any concurrency.
 func shardRng(index int) *rand.Rand {
@@ -356,7 +334,7 @@ func attempt(ctx context.Context, index int, opts Options, run func() (*shardOut
 		if wire.IsCorrupt(err) || errors.Is(err, ErrCheckpoint) || errors.Is(err, checkpoint.ErrMismatch) || try >= opts.MaxRetries {
 			return nil, try + 1, err
 		}
-		if serr := sleep(ctx, backoff(opts.retryBase(), try, rng)); serr != nil {
+		if serr := retry.Sleep(ctx, retry.Backoff(opts.retryBase(), try, rng)); serr != nil {
 			return nil, try + 1, serr
 		}
 	}
@@ -548,7 +526,7 @@ func runFile(ctx context.Context, path string, opts Options) (*Result, error) {
 		if try >= opts.MaxRetries {
 			return nil, fmt.Errorf("%w: planning %s after %d attempt(s): %w", ErrExhausted, path, try+1, err)
 		}
-		if serr := sleep(ctx, backoff(opts.retryBase(), try, rng)); serr != nil {
+		if serr := retry.Sleep(ctx, retry.Backoff(opts.retryBase(), try, rng)); serr != nil {
 			return nil, serr
 		}
 	}

@@ -5,32 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"meshlab/internal/wire"
 )
-
-func TestBackoffCapAndDeterminism(t *testing.T) {
-	const base = 5 * time.Millisecond
-	cap := base << 6
-	for attempt := 0; attempt < 80; attempt++ {
-		d := backoff(base, attempt, shardRng(3))
-		if d <= 0 {
-			t.Fatalf("attempt %d: non-positive backoff %v", attempt, d)
-		}
-		if d > cap+cap/2 {
-			t.Fatalf("attempt %d: backoff %v exceeds cap+jitter %v", attempt, d, cap+cap/2)
-		}
-	}
-	// Same shard index → same jitter stream: a scenario replays
-	// identically at any concurrency.
-	a, b := shardRng(7), shardRng(7)
-	for i := 0; i < 10; i++ {
-		if x, y := backoff(base, i, a), backoff(base, i, b); x != y {
-			t.Fatalf("attempt %d: %v != %v from identical rngs", i, x, y)
-		}
-	}
-}
 
 // TestExitCodeMapping pins the full exit-code contract documented on
 // ExitCode (0/1/3/4/130 here; 2 is usage and never reaches it).
@@ -58,17 +35,6 @@ func TestExitCodeMapping(t *testing.T) {
 		if got := ExitCode(c.err); got != c.want {
 			t.Fatalf("%s: ExitCode(%v) = %d, want %d", c.name, c.err, got, c.want)
 		}
-	}
-}
-
-func TestSleepHonorsCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := sleep(ctx, time.Hour); !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-	if err := sleep(context.Background(), time.Microsecond); err != nil {
-		t.Fatalf("clean sleep errored: %v", err)
 	}
 }
 

@@ -7,16 +7,36 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
+	"meshlab/internal/dataset"
 	"meshlab/internal/snr"
 	"meshlab/internal/wire"
 )
 
+// hasFlatSamples reports whether the binary dataset at path carries the
+// flat-sample section.
+func hasFlatSamples(t *testing.T, path string) bool {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rd, err := wire.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rd.HasFlatSamples()
+}
+
 // TestLoadOrGenerateFleetUpgradesLegacyCache: a valid cache written in
 // the legacy MLF1 framing must hit (no resynthesis) and be rewritten in
 // the current format with the flat-sample section, so the next run
-// returns samples.
+// streams the samples.
 func TestLoadOrGenerateFleetUpgradesLegacyCache(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.bin")
 	opts := QuickOptions(31)
@@ -35,15 +55,12 @@ func TestLoadOrGenerateFleetUpgradesLegacyCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f, samples, hit, err := LoadOrGenerateFleetSamples(path, opts)
+	f, hit, err := LoadOrGenerateFleet(path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !hit {
 		t.Fatal("a valid legacy cache must hit, not resynthesize")
-	}
-	if len(samples) == 0 {
-		t.Fatal("the upgrade rewrite should return the samples it derived")
 	}
 	if f.NumProbeSets() != fleet.NumProbeSets() {
 		t.Fatal("legacy cache decoded differently")
@@ -61,64 +78,71 @@ func TestLoadOrGenerateFleetUpgradesLegacyCache(t *testing.T) {
 		t.Fatalf("cache not upgraded: magic %q", head)
 	}
 
-	// The upgraded cache now serves samples.
-	_, samples, hit, err = LoadOrGenerateFleetSamples(path, opts)
-	if err != nil {
-		t.Fatal(err)
+	// The upgraded cache now carries the samples and still hits.
+	if !hasFlatSamples(t, path) {
+		t.Fatal("the upgrade rewrite should append the flat-sample section")
 	}
-	if !hit || len(samples) == 0 {
-		t.Fatalf("upgraded cache should hit with samples (hit=%v, bands=%d)", hit, len(samples))
+	if _, hit, err = LoadOrGenerateFleet(path, opts); err != nil || !hit {
+		t.Fatalf("upgraded cache should hit (hit=%v, err=%v)", hit, err)
 	}
 }
 
 // TestLoadOrGenerateFleetSamplesWarm: the cold write stores the sample
-// section; the warm load returns it, and priming an Analysis with it
-// yields byte-identical experiment output to computing from scratch.
+// section; the warm load hits, and the §4 tables a streaming run derives
+// from the cached section are byte-identical to flattening the fleet
+// from scratch.
 func TestLoadOrGenerateFleetSamplesWarm(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.bin")
 	opts := QuickOptions(32)
-	fleet, _, hit, err := LoadOrGenerateFleetSamples(path, opts)
+	fleet, hit, err := LoadOrGenerateFleet(path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit {
 		t.Fatal("cold cache reported a hit")
 	}
-	warm, samples, hit, err := LoadOrGenerateFleetSamples(path, opts)
+	if !hasFlatSamples(t, path) {
+		t.Fatal("the cold write stored no sample section")
+	}
+	warm, hit, err := LoadOrGenerateFleet(path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !hit {
 		t.Fatal("warm cache missed")
 	}
-	if len(samples) == 0 {
-		t.Fatal("warm load returned no samples despite the section")
+	if warm.NumProbeSets() != fleet.NumProbeSets() {
+		t.Fatal("warm load decoded differently")
 	}
 
-	// Oracle: a primed analysis and a from-scratch analysis agree on a
-	// §4-heavy experiment, byte for byte.
-	primed := NewAnalysis(warm)
-	for band, s := range samples {
-		primed.PrimeSamples(band, s)
+	// Oracle: the cached section and a from-scratch flatten agree on the
+	// §4-heavy experiments, byte for byte.
+	streamed, sum, err := StreamFleet(path, StreamOptions{Validate: &opts})
+	if err != nil {
+		t.Fatal(err)
 	}
-	scratch := NewAnalysis(fleet)
-	for _, id := range []string{"fig4.1", "fig4.4", "fig4.5"} {
-		a, err := primed.Run(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := scratch.Run(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Format() != b.Format() {
-			t.Fatalf("%s differs between primed and from-scratch analysis", id)
+	if !sum.FlatSamples {
+		t.Fatal("the streamed cache did not consume its sample section")
+	}
+	byID := make(map[string]*Result, len(streamed))
+	for _, r := range streamed {
+		byID[r.ID] = r
+	}
+	ids := []string{"fig4.1", "fig4.4", "fig4.5"}
+	scratch, _, err := RunFleet(fleet, ids...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		if byID[id].Format() != scratch[i].Format() {
+			t.Fatalf("%s differs between the cached section and a from-scratch flatten", id)
 		}
 	}
 }
 
-// TestLoadFleetSamples: .bin files round-trip the sample section through
-// the file facade; plain binary and JSONL files return nil samples.
+// TestLoadFleetSamples: SaveFleetWithSamples writes a .bin file that
+// carries the sample section and loads back as the same fleet; plain
+// binary files carry none, and the section requires a .bin path.
 func TestLoadFleetSamples(t *testing.T) {
 	fleet, err := GenerateFleet(QuickOptions(33))
 	if err != nil {
@@ -130,28 +154,20 @@ func TestLoadFleetSamples(t *testing.T) {
 	if err := SaveFleetWithSamples(with, fleet); err != nil {
 		t.Fatal(err)
 	}
-	f, samples, err := LoadFleetSamples(with)
+	f, err := LoadFleet(with)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.NumProbeSets() != fleet.NumProbeSets() || len(samples) == 0 {
-		t.Fatalf("sample-carrying file: %d probe sets, %d sample bands", f.NumProbeSets(), len(samples))
+	if f.NumProbeSets() != fleet.NumProbeSets() || !hasFlatSamples(t, with) {
+		t.Fatalf("sample-carrying file: %d probe sets, section %v", f.NumProbeSets(), hasFlatSamples(t, with))
 	}
 
 	plain := filepath.Join(dir, "plain.bin")
 	if err := SaveFleet(plain, fleet); err != nil {
 		t.Fatal(err)
 	}
-	if _, samples, err := LoadFleetSamples(plain); err != nil || samples != nil {
-		t.Fatalf("plain binary should load with nil samples (err %v)", err)
-	}
-
-	jsonl := filepath.Join(dir, "fleet.jsonl")
-	if err := SaveFleet(jsonl, fleet); err != nil {
-		t.Fatal(err)
-	}
-	if _, samples, err := LoadFleetSamples(jsonl); err != nil || samples != nil {
-		t.Fatalf("JSONL should load with nil samples (err %v)", err)
+	if hasFlatSamples(t, plain) {
+		t.Fatal("plain binary should carry no sample section")
 	}
 
 	// The section needs the binary format; a JSONL path is rejected.
@@ -163,16 +179,20 @@ func TestLoadFleetSamples(t *testing.T) {
 // TestStreamFleetMatchesMaterialized is the meshlab-level oracle for the
 // streaming suite: the single-pass run over a binary file (with and
 // without the flat-sample section) must emit results byte-identical to
-// the materialized parallel runner, and must report honest walk
-// accounting.
+// RunFleet over the materialized fleet, and both must report honest
+// walk accounting.
 func TestStreamFleetMatchesMaterialized(t *testing.T) {
 	fleet, err := GenerateFleet(QuickOptions(34))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NewAnalysis(fleet).RunAllParallel(0)
+	want, fleetSum, err := RunFleet(fleet)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if fleetSum.Networks != len(fleet.Networks) || fleetSum.ProbeSets != fleet.NumProbeSets() ||
+		fleetSum.NetworksBG != len(fleet.ByBand("bg")) || fleetSum.NetworksN != len(fleet.ByBand("n")) {
+		t.Fatalf("RunFleet summary %+v disagrees with the fleet", fleetSum)
 	}
 	dir := t.TempDir()
 	plain := filepath.Join(dir, "plain.bin")
@@ -259,53 +279,14 @@ func TestStreamFleetNotStreamable(t *testing.T) {
 	if _, _, err := StreamFleet(path, StreamOptions{}); !errors.Is(err, ErrNotStreamable) {
 		t.Fatalf("JSONL: got %v, want ErrNotStreamable", err)
 	}
-	if _, err := LoadSamples(path); !errors.Is(err, ErrNotStreamable) {
-		t.Fatalf("LoadSamples on JSONL: got %v, want ErrNotStreamable", err)
-	}
-}
-
-// TestSampleAnalysis: LoadSamples + NewSampleAnalysis reproduce the §4
-// tables byte-identically to a full in-memory analysis, and the
-// non-sample experiments fail instead of fabricating empty tables.
-func TestSampleAnalysis(t *testing.T) {
-	fleet, err := GenerateFleet(QuickOptions(38))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "fleet.bin")
-	if err := SaveFleetWithSamples(path, fleet); err != nil {
-		t.Fatal(err)
-	}
-	samples, err := LoadSamples(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bare := NewSampleAnalysis(samples)
-	full := NewAnalysis(fleet)
-	for _, id := range SampleExperimentIDs() {
-		if !SampleOnlyExperiment(id) {
-			t.Fatalf("%s listed but not sample-only", id)
-		}
-		a, err := bare.Run(id)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		b, err := full.Run(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Format() != b.Format() {
-			t.Fatalf("%s diverges between sample analysis and full analysis", id)
-		}
-	}
-	if _, err := bare.Run("fig3.1"); err == nil {
-		t.Fatal("a fleet experiment should fail on a sample-only analysis")
+	if _, err := StreamSampleExperiments(path, SampleExperimentIDs(), 1); !errors.Is(err, ErrNotStreamable) {
+		t.Fatalf("StreamSampleExperiments on JSONL: got %v, want ErrNotStreamable", err)
 	}
 }
 
 // TestEachSampleGroupMatchesLoadSamples: the chunked group walk carries
-// exactly the samples LoadSamples materializes, per band and in order,
-// from both a sample-carrying and a section-less binary file.
+// exactly the samples wire.ReadSamples materializes, per band and in
+// order, from both a sample-carrying and a section-less binary file.
 func TestEachSampleGroupMatchesLoadSamples(t *testing.T) {
 	fleet, err := GenerateFleet(QuickOptions(39))
 	if err != nil {
@@ -321,13 +302,18 @@ func TestEachSampleGroupMatchesLoadSamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, path := range []string{sampled, plain} {
-		want, err := LoadSamples(path)
+		file, err := os.Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cat := FleetSamples{}
+		want, err := wire.ReadSamples(file)
+		file.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cat := map[string][]snr.Sample{}
 		groups := 0
-		if err := EachSampleGroup(path, 2, func(band, net string, samples []snr.Sample) error {
+		if err := eachSampleGroup(path, 2, func(band, net string, samples []snr.Sample) error {
 			groups++
 			for i := range samples {
 				if samples[i].Net != net {
@@ -345,17 +331,18 @@ func TestEachSampleGroupMatchesLoadSamples(t *testing.T) {
 			t.Fatalf("%s: %d groups, fleet has %d network datasets", path, groups, len(fleet.Networks))
 		}
 		if !reflect.DeepEqual(cat, want) {
-			t.Fatalf("%s: concatenated groups diverge from LoadSamples", path)
+			t.Fatalf("%s: concatenated groups diverge from wire.ReadSamples", path)
 		}
 	}
-	if err := EachSampleGroup(filepath.Join(dir, "missing.bin"), 1, nil); err == nil {
+	if err := eachSampleGroup(filepath.Join(dir, "missing.bin"), 1, nil); err == nil {
 		t.Fatal("missing file should error")
 	}
 }
 
 // TestStreamSampleExperimentsMatchesAnalysis: the fleet-less chunked §4
-// engine (meshanalyze -sec4) reproduces every sample-only table
-// byte-identically to the full in-memory analysis, at any worker count.
+// run (meshanalyze -sec4) reproduces every sample-only table
+// byte-identically to RunFleet over the in-memory fleet, at any worker
+// count.
 func TestStreamSampleExperimentsMatchesAnalysis(t *testing.T) {
 	fleet, err := GenerateFleet(QuickOptions(40))
 	if err != nil {
@@ -365,8 +352,11 @@ func TestStreamSampleExperimentsMatchesAnalysis(t *testing.T) {
 	if err := SaveFleetWithSamples(path, fleet); err != nil {
 		t.Fatal(err)
 	}
-	full := NewAnalysis(fleet)
 	ids := SampleExperimentIDs()
+	full, _, err := RunFleet(fleet, ids...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 3} {
 		results, err := StreamSampleExperiments(path, ids, workers)
 		if err != nil {
@@ -376,11 +366,7 @@ func TestStreamSampleExperimentsMatchesAnalysis(t *testing.T) {
 			t.Fatalf("%d results for %d ids", len(results), len(ids))
 		}
 		for i, id := range ids {
-			want, err := full.Run(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if results[i].Format() != want.Format() {
+			if results[i].Format() != full[i].Format() {
 				t.Fatalf("workers=%d: %s diverges from the in-memory analysis", workers, id)
 			}
 		}
@@ -389,31 +375,96 @@ func TestStreamSampleExperimentsMatchesAnalysis(t *testing.T) {
 	if _, err := StreamSampleExperiments(path, []string{"fig5.1"}, 1); err == nil {
 		t.Fatal("a fleet experiment should be refused by the sample run")
 	}
+	if _, err := StreamSampleExperiments(path, []string{"fig9.9"}, 1); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+		t.Fatalf("an unknown experiment should be refused as unknown, got %v", err)
+	}
 }
 
-// TestStreamFleetMaterializeSamplesKnob: the explicit opt-out of chunked
-// sample handling still emits byte-identical results — it only changes
-// what stays resident.
-func TestStreamFleetMaterializeSamplesKnob(t *testing.T) {
-	fleet, err := GenerateFleet(QuickOptions(41))
+// waitGoroutines polls until the process is back to at most base
+// goroutines, failing with a full stack dump if it is not within a short
+// settle: every goroutine a walk starts must be joined by its owner.
+func waitGoroutines(t *testing.T, what string, base int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%s leaked goroutines: %d running, baseline %d\n%s",
+				what, runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestWalksJoinGoroutines: a sample-only run that observes no network,
+// a StreamFleet aborted by a corrupt network mid-walk, and a sample-group
+// walk aborted by its callback each return only after every goroutine
+// they started has exited.
+func TestWalksJoinGoroutines(t *testing.T) {
+	fleet, err := GenerateFleet(QuickOptions(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "fleet.bin")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "fleet.bin")
 	if err := SaveFleetWithSamples(path, fleet); err != nil {
 		t.Fatal(err)
 	}
-	chunked, _, err := StreamFleet(path, StreamOptions{Workers: 2})
+
+	base := runtime.NumGoroutine()
+	if _, err := StreamSampleExperiments(path, SampleExperimentIDs(), 2); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, "a sample-only run", base)
+
+	// Cut the file a little way into the middle network's record.
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	materialized, _, err := StreamFleet(path, StreamOptions{Workers: 2, MaterializeSamples: true})
+	rd, err := wire.NewReader(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range chunked {
-		if chunked[i].Format() != materialized[i].Format() {
-			t.Fatalf("%s diverges under MaterializeSamples", chunked[i].ID)
+	mid := 0
+	if err := rd.EachNetwork(wire.Filter{}, func(*dataset.NetworkData) error {
+		if mid++; mid == rd.NumNetworks()/2 {
+			return errStopWalk
 		}
+		return nil
+	}); !errors.Is(err, errStopWalk) {
+		t.Fatal(err)
 	}
+	corrupt := filepath.Join(dir, "corrupt.bin")
+	if err := os.WriteFile(corrupt, raw[:rd.Offset()+64], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base = runtime.NumGoroutine()
+	if _, _, err := StreamFleet(corrupt, StreamOptions{Workers: 3}); err == nil {
+		t.Fatal("a truncated network should fail the walk")
+	}
+	waitGoroutines(t, "an aborted StreamFleet", base)
+
+	file, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	rd, err = wire.NewReader(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base = runtime.NumGoroutine()
+	groups := 0
+	if err := rd.SampleGroups(3, func(*wire.SampleGroup) error {
+		if groups++; groups == 3 {
+			return errStopWalk
+		}
+		return nil
+	}); !errors.Is(err, errStopWalk) {
+		t.Fatalf("aborted sample-group walk returned %v", err)
+	}
+	waitGoroutines(t, "an aborted sample-group walk", base)
 }
+
+var errStopWalk = errors.New("stop the walk")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,13 +19,15 @@ func TestEndToEndQuick(t *testing.T) {
 	if err := fleet.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	a := NewAnalysis(fleet)
-	res, err := a.Run("fig5.1")
+	results, _, err := RunFleet(fleet, "fig5.1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ID != "fig5.1" || len(res.Rows) == 0 {
-		t.Fatalf("unexpected result %+v", res)
+	if res := results[0]; len(results) != 1 || res.ID != "fig5.1" || len(res.Rows) == 0 {
+		t.Fatalf("unexpected results %+v", results)
+	}
+	if _, _, err := RunFleet(fleet, "fig9.9"); err == nil || !strings.Contains(err.Error(), "ext6.mac") {
+		t.Fatalf("an unknown ID should be an error naming the known set, got %v", err)
 	}
 }
 
