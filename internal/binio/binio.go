@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // defaultCap bounds a decoded element count when the input's remaining
@@ -82,6 +83,25 @@ func (w *Writer) Int(v int) { w.I64(int64(v)) }
 // F64 writes a float64 by bit pattern (NaN payloads round-trip).
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
+// f64Block is how many float64s F64s encodes or decodes per underlying
+// write or read.
+const f64Block = 4096
+
+// F64s writes vs as the same bytes as one F64 per value, encoded a block
+// at a time: snapshots hold millions of per-network floats, and one
+// underlying write per value dominated their encoding.
+func (w *Writer) F64s(vs []float64) {
+	block := make([]byte, 8*min(len(vs), f64Block))
+	for len(vs) > 0 && w.err == nil {
+		k := min(len(vs), f64Block)
+		for i, v := range vs[:k] {
+			binary.LittleEndian.PutUint64(block[8*i:], math.Float64bits(v))
+		}
+		w.write(block[:8*k])
+		vs = vs[k:]
+	}
+}
+
 // Bool writes one byte, 0 or 1.
 func (w *Writer) Bool(v bool) {
 	b := uint8(0)
@@ -150,27 +170,35 @@ func (r *Reader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// read fills and returns r.buf[:n], or nil after an error.
-func (r *Reader) read(n int) []byte {
+// fill reads exactly len(b) bytes into b, reporting false after an
+// error.
+func (r *Reader) fill(b []byte) bool {
 	if r.err != nil {
-		return nil
+		return false
 	}
-	if r.remaining >= 0 && int64(n) > r.remaining {
+	if r.remaining >= 0 && int64(len(b)) > r.remaining {
 		r.err = io.ErrUnexpectedEOF
-		return nil
+		return false
 	}
-	b := r.buf[:n]
 	if _, err := io.ReadFull(r.r, b); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		r.err = err
-		return nil
+		return false
 	}
 	if r.remaining >= 0 {
-		r.remaining -= int64(n)
+		r.remaining -= int64(len(b))
 	}
-	return b
+	return true
+}
+
+// read fills and returns r.buf[:n], or nil after an error.
+func (r *Reader) read(n int) []byte {
+	if !r.fill(r.buf[:n]) {
+		return nil
+	}
+	return r.buf[:n]
 }
 
 // U8 reads one byte.
@@ -209,6 +237,25 @@ func (r *Reader) Int() int { return int(r.I64()) }
 // F64 reads a float64 by bit pattern.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
+// F64s appends n float64s to dst, decoding what F64s (or n F64 calls)
+// wrote a block at a time. n must come from Count(8), which bounds it by
+// the remaining input.
+func (r *Reader) F64s(dst []float64, n int) []float64 {
+	dst = slices.Grow(dst, n)
+	block := make([]byte, 8*min(n, f64Block))
+	for n > 0 {
+		k := min(n, f64Block)
+		if !r.fill(block[:8*k]) {
+			break
+		}
+		for i := 0; i < k; i++ {
+			dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(block[8*i:])))
+		}
+		n -= k
+	}
+	return dst
+}
+
 // Bool reads one byte; any nonzero value is true.
 func (r *Reader) Bool() bool { return r.U8() != 0 }
 
@@ -246,15 +293,8 @@ func (r *Reader) String() string {
 		return ""
 	}
 	b := make([]byte, n)
-	if _, err := io.ReadFull(r.r, b); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		r.err = err
+	if !r.fill(b) {
 		return ""
-	}
-	if r.remaining >= 0 {
-		r.remaining -= int64(n)
 	}
 	return string(b)
 }

@@ -153,3 +153,42 @@ func encodeI64(v int64) []byte {
 	w.I64(v)
 	return buf.Bytes()
 }
+
+// TestF64sMatchesF64: the block codec writes exactly the bytes of one F64
+// per value, across block boundaries, and reads them back appended to
+// the destination; a short input errors.
+func TestF64sMatchesF64(t *testing.T) {
+	vs := make([]float64, 2*f64Block+3)
+	for i := range vs {
+		vs[i] = float64(i) * 0.37
+	}
+	vs[5] = math.NaN()
+	var one, block bytes.Buffer
+	w := NewWriter(&one)
+	for _, v := range vs {
+		w.F64(v)
+	}
+	NewWriter(&block).F64s(vs)
+	if !bytes.Equal(one.Bytes(), block.Bytes()) {
+		t.Fatal("F64s bytes differ from one F64 per value")
+	}
+
+	r := NewReader(bytes.NewReader(block.Bytes()))
+	got := r.F64s([]float64{-1}, len(vs))
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1+len(vs) || got[0] != -1 {
+		t.Fatalf("F64s did not append: %d values, first %v", len(got), got[0])
+	}
+	for i, v := range vs {
+		if math.Float64bits(got[1+i]) != math.Float64bits(v) {
+			t.Fatalf("value %d: got %v, want %v", i, got[1+i], v)
+		}
+	}
+
+	r = NewReader(bytes.NewReader(block.Bytes()[:8*f64Block+4]))
+	if r.F64s(nil, len(vs)); r.Err() == nil {
+		t.Fatal("a truncated block decoded without error")
+	}
+}

@@ -161,31 +161,13 @@ func (a *coverageAcc) finalize(*StreamContext) (*Result, error) {
 // quantile row is computed without ever materializing a per-sample Diffs
 // slice.
 type fig44Acc struct {
-	sampleAcc
-	bands []fig44Band
-}
-
-type fig44Band struct {
-	name string
-	acc  *snr.PenaltyAccum
-	seen int
+	sampleBands[*snr.PenaltyAccum]
 }
 
 func newFig44Acc() *fig44Acc {
-	return &fig44Acc{bands: []fig44Band{
-		{name: "bg", acc: snr.NewPenaltyAccum(len(phy.BandBG.Rates), snr.Scopes)},
-		{name: "n", acc: snr.NewPenaltyAccum(len(phy.BandN.Rates), snr.Scopes)},
-	}}
-}
-
-func (a *fig44Acc) observeSampleGroup(band string, samples []snr.Sample) error {
-	for i := range a.bands {
-		if a.bands[i].name == band {
-			a.bands[i].acc.ObserveGroup(samples)
-			a.bands[i].seen += len(samples)
-		}
-	}
-	return nil
+	return &fig44Acc{newSampleBands(
+		snr.NewPenaltyAccum(len(phy.BandBG.Rates), snr.Scopes),
+		snr.NewPenaltyAccum(len(phy.BandN.Rates), snr.Scopes))}
 }
 
 func (a *fig44Acc) finalize(*StreamContext) (*Result, error) {

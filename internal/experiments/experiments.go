@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 
+	"meshlab/internal/binio"
 	"meshlab/internal/snr"
 )
 
@@ -71,7 +72,10 @@ func (r *Result) Format() string {
 // is called once per network in fleet order (with per-network derived
 // data available through the NetView), then finalize renders the Result
 // from the accumulated state plus the run's fleet-wide state (client
-// data and the §7 mobility analysis).
+// data and the §7 mobility analysis). snapshot serializes the partial
+// state into the sticky-error writer, and restore folds such bytes into
+// the receiver's own state (see snapshot.go): that one pair drives both
+// checkpoint resume and the shard merge.
 //
 // observe and finalize are never called concurrently on one accumulator,
 // but an accumulator that also implements preparer must keep prepare free
@@ -80,6 +84,8 @@ func (r *Result) Format() string {
 type accumulator interface {
 	observe(nv *NetView) error
 	finalize(s *StreamContext) (*Result, error)
+	snapshot(w *binio.Writer)
+	restore(r *binio.Reader) error
 }
 
 // preparer is implemented by accumulators whose per-network work is

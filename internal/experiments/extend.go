@@ -28,32 +28,14 @@ func init() {
 // chunked core trains and evaluates one network at a time — identical to
 // the batch TopKCoverage by the snr package's oracle.
 type ext4topkAcc struct {
-	sampleAcc
-	bands []ext4topkBand
-}
-
-type ext4topkBand struct {
-	name string
-	acc  *snr.TopKAccum
-	seen int
+	sampleBands[*snr.TopKAccum]
 }
 
 func newExt4topkAcc() *ext4topkAcc {
 	ks := []int{1, 2, 3}
-	return &ext4topkAcc{bands: []ext4topkBand{
-		{name: "bg", acc: snr.NewTopKAccum(len(phy.BandBG.Rates), ks)},
-		{name: "n", acc: snr.NewTopKAccum(len(phy.BandN.Rates), ks)},
-	}}
-}
-
-func (a *ext4topkAcc) observeSampleGroup(band string, samples []snr.Sample) error {
-	for i := range a.bands {
-		if a.bands[i].name == band {
-			a.bands[i].acc.ObserveGroup(samples)
-			a.bands[i].seen += len(samples)
-		}
-	}
-	return nil
+	return &ext4topkAcc{newSampleBands(
+		snr.NewTopKAccum(len(phy.BandBG.Rates), ks),
+		snr.NewTopKAccum(len(phy.BandN.Rates), ks))}
 }
 
 func (a *ext4topkAcc) finalize(*StreamContext) (*Result, error) {

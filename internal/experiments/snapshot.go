@@ -1,85 +1,61 @@
 package experiments
 
-// snapshot.go makes every experiment accumulator checkpointable: a
-// StreamContext can serialize all partial state at a network boundary
-// (Snapshot) and a fresh context can load it back (Restore) and continue
-// the walk, finalizing byte-identically to an uninterrupted run. The
-// shard runner (internal/shard) uses this through internal/checkpoint to
-// make crashed streaming runs resumable.
+// snapshot.go serializes every experiment accumulator's partial state and
+// folds it back. One codec pair serves two uses:
 //
-// Why the resume is exact, per accumulator family (mirroring merge.go's
-// argument): counter/histogram state (the §4 cores, via their own pinned
-// snr snapshots) serializes losslessly, and per-network appends (the
-// §3/§5/§6 censuses) serialize the exact prefix sequence — continuing
-// the walk from the next network reproduces the fleet-order appends.
-// Shared-only experiments carry no per-network state and serialize
-// nothing.
+//   - Checkpoint resume: a StreamContext serializes all partial state at a
+//     network boundary (Snapshot), and a fresh context folds it in
+//     (Restore) and continues the walk, finalizing byte-identically to an
+//     uninterrupted run. internal/shard does this through
+//     internal/checkpoint to make crashed streaming runs resumable.
+//   - Shard merge: a shard runner runs one StreamContext per contiguous
+//     network-range shard, then folds the partials, in shard order, into
+//     the first (Merge: encode the other context, fold the bytes in). The
+//     merged context finalizes byte-identically to a whole-fleet run.
+//
+// Every restore therefore adds to the receiver instead of replacing it.
+// Why the fold is exact: each accumulator's persistent state is either
+// (a) integer counters and count-histogram tables (the §4 cores, via
+// their own snr codecs), where folding is addition with no floating-point
+// reassociation, or (b) values appended once per network in fleet order
+// (the §3/§5/§6 censuses), where appending contiguous partials in order
+// reproduces the exact fleet-order sequence — a resumed walk then appends
+// the networks after the snapshot's prefix. Shared-only experiments (§7,
+// the ablations) keep no per-network state: they serialize nothing, and
+// their finalize runs once, on the final context.
 //
 // A snapshot must be taken from the driver goroutine between Observes
 // (or between sample groups), after Flush has quiesced the pipeline —
 // Snapshot does both itself.
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 
 	"meshlab/internal/binio"
+	"meshlab/internal/conc"
 	"meshlab/internal/hidden"
 	"meshlab/internal/routing"
+	"meshlab/internal/snr"
 )
 
 // streamSnapVersion versions the StreamContext snapshot envelope.
 const streamSnapVersion = 1
 
-// snapshotter is implemented by every registered accumulator: serialize
-// partial state into the sticky-error writer, and load it back. Restore
-// runs on a freshly constructed accumulator of the same registration.
-// StreamContext.Snapshot drives it index-aligned, so a future
-// accumulator that forgets to implement it fails loudly there.
-type snapshotter interface {
-	snapshot(w *binio.Writer)
-	restore(r *binio.Reader) error
-}
-
 // Shared snapshot helpers.
 
 func writeF64s(w *binio.Writer, vs []float64) {
 	w.Int(len(vs))
-	for _, v := range vs {
-		w.F64(v)
-	}
+	w.F64s(vs)
 }
 
-func readF64s(r *binio.Reader) []float64 {
-	n := r.Count(8)
-	if r.Err() != nil || n == 0 {
-		return nil
-	}
-	vs := make([]float64, n)
-	for i := range vs {
-		vs[i] = r.F64()
-	}
-	return vs
-}
-
-func writeIntSlice(w *binio.Writer, vs []int) {
-	w.Int(len(vs))
-	for _, v := range vs {
-		w.Int(v)
-	}
-}
-
-func readIntSlice(r *binio.Reader) []int {
-	n := r.Count(8)
-	if r.Err() != nil || n == 0 {
-		return nil
-	}
-	vs := make([]int, n)
-	for i := range vs {
-		vs[i] = r.Int()
-	}
-	return vs
+// readF64s appends a decoded slice to dst.
+func readF64s(r *binio.Reader, dst []float64) []float64 {
+	return r.F64s(dst, r.Count(8))
 }
 
 func sortedImpKeys[V any](m map[impKey]V) []impKey {
@@ -111,7 +87,7 @@ func readImpFloats(r *binio.Reader, dst map[impKey][]float64) {
 	for i := 0; i < n && r.Err() == nil; i++ {
 		k := impKey{rate: r.Int()}
 		k.variant = routing.Variant(r.Int())
-		dst[k] = readF64s(r)
+		dst[k] = readF64s(r, dst[k])
 	}
 }
 
@@ -130,7 +106,7 @@ func readImpInts(r *binio.Reader, dst map[impKey]int) {
 	for i := 0; i < n && r.Err() == nil; i++ {
 		k := impKey{rate: r.Int()}
 		k.variant = routing.Variant(r.Int())
-		dst[k] = r.Int()
+		dst[k] += r.Int()
 	}
 }
 
@@ -147,19 +123,12 @@ func writeIntFloats(w *binio.Writer, m map[int][]float64) {
 	}
 }
 
-// readIntFloats preserves the lazily-nil convention: zero entries decode
-// to a nil map, matching an accumulator that never observed.
-func readIntFloats(r *binio.Reader) map[int][]float64 {
+func readIntFloats(r *binio.Reader, dst map[int][]float64) {
 	n := r.Count(8)
-	if r.Err() != nil || n == 0 {
-		return nil
-	}
-	m := make(map[int][]float64, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		k := r.Int()
-		m[k] = readF64s(r)
+		dst[k] = readF64s(r, dst[k])
 	}
-	return m
 }
 
 func writeCensus(w *binio.Writer, results []*hidden.NetworkResult) {
@@ -179,12 +148,10 @@ func writeCensus(w *binio.Writer, results []*hidden.NetworkResult) {
 	}
 }
 
-func readCensus(r *binio.Reader) []*hidden.NetworkResult {
+// readCensus appends a decoded census to dst.
+func readCensus(r *binio.Reader, dst []*hidden.NetworkResult) []*hidden.NetworkResult {
 	n := r.Count(8)
-	if r.Err() != nil || n == 0 {
-		return nil
-	}
-	out := make([]*hidden.NetworkResult, 0, n)
+	dst = slices.Grow(dst, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		nr := &hidden.NetworkResult{Net: r.String(), Env: r.String(), Size: r.Int()}
 		m := r.Count(8)
@@ -194,9 +161,9 @@ func readCensus(r *binio.Reader) []*hidden.NetworkResult {
 				Fraction: r.F64(), Range: r.Int(),
 			})
 		}
-		out = append(out, nr)
+		dst = append(dst, nr)
 	}
-	return out
+	return dst
 }
 
 func (sharedOnly) snapshot(*binio.Writer)      {}
@@ -211,14 +178,14 @@ func (a *fig31Acc) snapshot(w *binio.Writer) {
 }
 
 func (a *fig31Acc) restore(r *binio.Reader) error {
-	a.probeStds = readF64s(r)
-	a.linkStds = readF64s(r)
-	a.netStds = readF64s(r)
+	a.probeStds = readF64s(r, a.probeStds)
+	a.linkStds = readF64s(r, a.linkStds)
+	a.netStds = readF64s(r, a.netStds)
 	return r.Err()
 }
 
-// §4 — delegate to the chunked snr cores, whose snapshots are pinned by
-// their own snapshot→restore→continue oracles.
+// §4 — delegate to the chunked snr cores, whose folds are pinned by their
+// own snapshot→restore→continue and shard-vs-whole oracles.
 
 func (a *fig41Acc) snapshot(w *binio.Writer) { w.Check(a.sets.Snapshot(w)) }
 func (a *fig41Acc) restore(r *binio.Reader) error {
@@ -247,7 +214,43 @@ func (a *coverageAcc) restore(r *binio.Reader) error {
 	return r.Err()
 }
 
-func (a *fig44Acc) snapshot(w *binio.Writer) {
+// bandCore is the chunked snr core behind one band of a per-band table.
+type bandCore interface {
+	ObserveGroup([]snr.Sample)
+	Snapshot(io.Writer) error
+	Restore(io.Reader) error
+}
+
+// sampleBand is one band's core plus how many samples it has seen.
+type sampleBand[C bandCore] struct {
+	name string
+	acc  C
+	seen int
+}
+
+// sampleBands is the per-band §4 state fig4.4 and ext4.topk embed: it
+// routes each sample group to its band's core and carries their shared
+// snapshot and restore.
+type sampleBands[C bandCore] struct {
+	sampleAcc
+	bands []sampleBand[C]
+}
+
+func newSampleBands[C bandCore](bg, n C) sampleBands[C] {
+	return sampleBands[C]{bands: []sampleBand[C]{{name: "bg", acc: bg}, {name: "n", acc: n}}}
+}
+
+func (a *sampleBands[C]) observeSampleGroup(band string, samples []snr.Sample) error {
+	for i := range a.bands {
+		if a.bands[i].name == band {
+			a.bands[i].acc.ObserveGroup(samples)
+			a.bands[i].seen += len(samples)
+		}
+	}
+	return nil
+}
+
+func (a *sampleBands[C]) snapshot(w *binio.Writer) {
 	w.Int(len(a.bands))
 	for i := range a.bands {
 		w.String(a.bands[i].name)
@@ -256,15 +259,15 @@ func (a *fig44Acc) snapshot(w *binio.Writer) {
 	}
 }
 
-func (a *fig44Acc) restore(r *binio.Reader) error {
+func (a *sampleBands[C]) restore(r *binio.Reader) error {
 	if n := r.Int(); r.Err() == nil && n != len(a.bands) {
-		return fmt.Errorf("fig4.4 snapshot has %d bands, accumulator %d", n, len(a.bands))
+		return fmt.Errorf("snapshot has %d bands, accumulator %d", n, len(a.bands))
 	}
 	for i := range a.bands {
 		if name := r.String(); r.Err() == nil && name != a.bands[i].name {
-			return fmt.Errorf("fig4.4 snapshot band %q at slot %d, accumulator %q", name, i, a.bands[i].name)
+			return fmt.Errorf("snapshot band %q at slot %d, accumulator %q", name, i, a.bands[i].name)
 		}
-		a.bands[i].seen = r.Int()
+		a.bands[i].seen += r.Int()
 		if err := a.bands[i].acc.Restore(r); err != nil {
 			return err
 		}
@@ -306,7 +309,7 @@ func (a *fig51Acc) snapshot(w *binio.Writer) {
 }
 
 func (a *fig51Acc) restore(r *binio.Reader) error {
-	a.nets = r.Int()
+	a.nets += r.Int()
 	readImpFloats(r, a.imps)
 	readImpInts(r, a.none)
 	readImpInts(r, a.small)
@@ -314,13 +317,13 @@ func (a *fig51Acc) restore(r *binio.Reader) error {
 }
 
 func (a *fig52Acc) snapshot(w *binio.Writer)      { writeIntFloats(w, a.ratios) }
-func (a *fig52Acc) restore(r *binio.Reader) error { a.ratios = readIntFloats(r); return r.Err() }
+func (a *fig52Acc) restore(r *binio.Reader) error { readIntFloats(r, a.ratios); return r.Err() }
 
 func (a *fig53Acc) snapshot(w *binio.Writer)      { writeIntFloats(w, a.hops) }
-func (a *fig53Acc) restore(r *binio.Reader) error { a.hops = readIntFloats(r); return r.Err() }
+func (a *fig53Acc) restore(r *binio.Reader) error { readIntFloats(r, a.hops); return r.Err() }
 
 func (a *fig54Acc) snapshot(w *binio.Writer)      { writeIntFloats(w, a.byHops) }
-func (a *fig54Acc) restore(r *binio.Reader) error { a.byHops = readIntFloats(r); return r.Err() }
+func (a *fig54Acc) restore(r *binio.Reader) error { readIntFloats(r, a.byHops); return r.Err() }
 
 func (a *fig55Acc) snapshot(w *binio.Writer) {
 	w.Int(len(a.pts))
@@ -344,7 +347,7 @@ func (a *fig55Acc) restore(r *binio.Reader) error {
 
 func (c *censusBG) snapshot(w *binio.Writer) { writeCensus(w, c.results) }
 func (c *censusBG) restore(r *binio.Reader) error {
-	c.results = readCensus(r)
+	c.results = readCensus(r, c.results)
 	return r.Err()
 }
 
@@ -365,66 +368,45 @@ func (a *abl6tAcc) restore(r *binio.Reader) error {
 	n := r.Count(8)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		k := r.F64()
-		a.censuses[k] = readCensus(r)
+		a.censuses[k] = readCensus(r, a.censuses[k])
 	}
 	return r.Err()
 }
 
 // Extensions
 
-func (a *ext4topkAcc) snapshot(w *binio.Writer) {
-	w.Int(len(a.bands))
-	for i := range a.bands {
-		w.String(a.bands[i].name)
-		w.Int(a.bands[i].seen)
-		w.Check(a.bands[i].acc.Snapshot(w))
-	}
-}
-
-func (a *ext4topkAcc) restore(r *binio.Reader) error {
-	if n := r.Int(); r.Err() == nil && n != len(a.bands) {
-		return fmt.Errorf("ext4.topk snapshot has %d bands, accumulator %d", n, len(a.bands))
-	}
-	for i := range a.bands {
-		if name := r.String(); r.Err() == nil && name != a.bands[i].name {
-			return fmt.Errorf("ext4.topk snapshot band %q at slot %d, accumulator %q", name, i, a.bands[i].name)
-		}
-		a.bands[i].seen = r.Int()
-		if err := a.bands[i].acc.Restore(r); err != nil {
-			return err
-		}
-	}
-	return r.Err()
-}
-
 func (a *ext5ettAcc) snapshot(w *binio.Writer) {
 	writeF64s(w, a.gains)
-	writeIntSlice(w, a.rateWins)
+	// rateWins is a fixed-length per-rate histogram, not a stream.
+	w.Int(len(a.rateWins))
+	for _, n := range a.rateWins {
+		w.Int(n)
+	}
 }
 
 func (a *ext5ettAcc) restore(r *binio.Reader) error {
-	a.gains = readF64s(r)
-	wins := readIntSlice(r)
-	if r.Err() == nil && len(wins) != len(a.rateWins) {
-		return fmt.Errorf("ext5.ett snapshot has %d rate bins, accumulator %d", len(wins), len(a.rateWins))
+	a.gains = readF64s(r, a.gains)
+	if n := r.Count(8); r.Err() == nil && n != len(a.rateWins) {
+		return fmt.Errorf("snapshot has %d rate bins, accumulator %d", n, len(a.rateWins))
 	}
-	if r.Err() == nil {
-		copy(a.rateWins, wins)
+	for i := 0; i < len(a.rateWins) && r.Err() == nil; i++ {
+		a.rateWins[i] += r.Int()
 	}
 	return r.Err()
 }
 
 // ext6mac's rng root is keyed by (network name, triple index) and is
 // stateless across networks, so it is reconstructed at NewStreamContext
-// and deliberately not serialized.
+// and deliberately not serialized; a shard's penalties are therefore
+// identical to the whole run's.
 func (a *ext6macAcc) snapshot(w *binio.Writer) {
 	writeF64s(w, a.hiddenPens)
 	writeF64s(w, a.openPens)
 }
 
 func (a *ext6macAcc) restore(r *binio.Reader) error {
-	a.hiddenPens = readF64s(r)
-	a.openPens = readF64s(r)
+	a.hiddenPens = readF64s(r, a.hiddenPens)
+	a.openPens = readF64s(r, a.openPens)
 	return r.Err()
 }
 
@@ -462,21 +444,21 @@ func (s *StreamContext) Snapshot(w io.Writer) error {
 	if err := s.Flush(); err != nil {
 		return err
 	}
+	return s.encode(w)
+}
+
+// encode writes the snapshot envelope, then every accumulator's partial
+// state in run order. The accumulators must be quiescent.
+func (s *StreamContext) encode(w io.Writer) error {
 	bw := binio.NewWriter(w)
 	bw.U8(streamSnapVersion)
-	s.mu.Lock()
-	networks := s.networks
-	s.mu.Unlock()
+	networks, _ := s.Stats()
 	bw.Int(networks)
 	bw.Bool(s.samplesDone)
 	bw.Int(len(s.accs))
 	for i, acc := range s.accs {
-		sn, ok := acc.(snapshotter)
-		if !ok {
-			return fmt.Errorf("experiments: %s: accumulator %T does not implement snapshot", s.ids[i], acc)
-		}
 		bw.String(s.ids[i])
-		sn.snapshot(bw)
+		acc.snapshot(bw)
 		if err := bw.Err(); err != nil {
 			return fmt.Errorf("experiments: %s: snapshot: %w", s.ids[i], err)
 		}
@@ -488,14 +470,67 @@ func (s *StreamContext) Snapshot(w io.Writer) error {
 // constructed over the same experiment IDs (any worker count) and not
 // yet observed.
 // The driver then continues the walk from the first network (and sample
-// group) the snapshot had not fully observed. Corrupt or mismatched
-// snapshots error without partially mutating accumulator state in ways a
-// later walk could silently extend — callers must discard the context on
-// error.
+// group) the snapshot had not fully observed. A corrupt or mismatched
+// snapshot errors and may leave the context partly folded: callers must
+// discard the context on error.
 func (s *StreamContext) Restore(r io.Reader) error {
 	if s.networks != 0 || s.drained || s.finalized || s.samplesDone {
 		return fmt.Errorf("experiments: Restore on a used context")
 	}
+	return s.fold(r)
+}
+
+// Merge drains the contexts and folds each of others' accumulator state
+// into this one, in order, as if this context had observed their
+// networks (and sample groups) after its own: each is encoded exactly as
+// Snapshot would write it, and the bytes fold in through Restore's
+// decoder. Each encode touches only its own drained context, so they run
+// concurrently on this context's worker budget; the folds into s run in
+// order. All contexts must be built over the same experiment IDs, in the
+// same order (any worker counts); others must have observed contiguous
+// runs of networks that follow this context's, in order, and must not be
+// used afterwards. Client data is not merged — the caller sets it once on
+// the merge target.
+func (s *StreamContext) Merge(others ...*StreamContext) error {
+	if s.finalized {
+		return fmt.Errorf("experiments: Merge after Finalize")
+	}
+	if err := s.Drain(); err != nil {
+		return err
+	}
+	for _, o := range others {
+		if o.finalized {
+			return fmt.Errorf("experiments: Merge after Finalize")
+		}
+		if err := o.Drain(); err != nil {
+			return err
+		}
+		if !slices.Equal(s.ids, o.ids) {
+			return fmt.Errorf("experiments: Merge across different experiment sets (%s vs %s)", strings.Join(s.ids, ","), strings.Join(o.ids, ","))
+		}
+	}
+	bufs := make([]bytes.Buffer, len(others))
+	if err := conc.ForEachN(len(others), s.workers, func(i int) error {
+		return others[i].encode(&bufs[i])
+	}); err != nil {
+		return err
+	}
+	for i, o := range others {
+		if err := s.fold(&bufs[i]); err != nil {
+			return err
+		}
+		_, oMax := o.Stats()
+		s.mu.Lock()
+		s.maxInFlight = max(s.maxInFlight, oMax)
+		s.mu.Unlock()
+	}
+	return nil
+}
+
+// fold decodes a snapshot and adds it to this context: every
+// accumulator's restore folds into its own state, networks add, and
+// samplesDone ORs.
+func (s *StreamContext) fold(r io.Reader) error {
 	br := binio.NewReader(r)
 	if v := br.U8(); br.Err() == nil && v != streamSnapVersion {
 		return fmt.Errorf("experiments: snapshot version %d, want %d", v, streamSnapVersion)
@@ -515,16 +550,12 @@ func (s *StreamContext) Restore(r io.Reader) error {
 	for i, acc := range s.accs {
 		id := br.String()
 		if err := br.Err(); err != nil {
-			return fmt.Errorf("experiments: snapshot: %w", err)
+			return fmt.Errorf("experiments: %s: snapshot: %w", s.ids[i], err)
 		}
 		if id != s.ids[i] {
 			return fmt.Errorf("experiments: snapshot experiment %q at slot %d, context %q", id, i, s.ids[i])
 		}
-		sn, ok := acc.(snapshotter)
-		if !ok {
-			return fmt.Errorf("experiments: %s: accumulator %T does not implement snapshot", s.ids[i], acc)
-		}
-		if err := sn.restore(br); err != nil {
+		if err := acc.restore(br); err != nil {
 			return fmt.Errorf("experiments: %s: restore: %w", s.ids[i], err)
 		}
 	}
@@ -532,8 +563,8 @@ func (s *StreamContext) Restore(r io.Reader) error {
 		return fmt.Errorf("experiments: snapshot: %w", err)
 	}
 	s.mu.Lock()
-	s.networks = networks
+	s.networks += networks
 	s.mu.Unlock()
-	s.samplesDone = samplesDone
+	s.samplesDone = s.samplesDone || samplesDone
 	return nil
 }

@@ -63,54 +63,65 @@ func compareRuns(t *testing.T, label string, got, want []*Result) {
 // oracle: snapshotting a streaming run at a network boundary, restoring
 // into a fresh context, and feeding the remaining networks must finalize
 // byte-identically to an uninterrupted run — and taking the snapshot
-// must not disturb the run that continues.
+// must not disturb the run that continues. The second walk visits every
+// n-band network first, so its snapshot at the band boundary holds empty
+// b/g-only sections (§5) that the resumed walk must still extend.
 func TestStreamSnapshotResumeMatchesUninterrupted(t *testing.T) {
 	f := quickFleet(t)
-	want := streamRun(t, f, 2)
+	nFirst := *f
+	nFirst.Networks = append(f.ByBand("n"), f.ByBand("bg")...)
+	for _, c := range []struct {
+		fleet  *dataset.Fleet
+		splits []int
+	}{
+		{f, []int{1, len(f.Networks) / 2, len(f.Networks) - 1}},
+		{&nFirst, []int{len(f.ByBand("n"))}},
+	} {
+		f := c.fleet
+		want := streamRun(t, f, 2)
+		for _, mid := range c.splits {
+			sc := NewStreamContext(2)
+			for _, nd := range f.Networks[:mid] {
+				if err := sc.Observe(nd); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var buf bytes.Buffer
+			if err := sc.Snapshot(&buf); err != nil {
+				t.Fatalf("split %d: snapshot: %v", mid, err)
+			}
 
-	splits := []int{1, len(f.Networks) / 2, len(f.Networks) - 1}
-	for _, mid := range splits {
-		sc := NewStreamContext(2)
-		for _, nd := range f.Networks[:mid] {
-			if err := sc.Observe(nd); err != nil {
+			// Restore into a fresh context (different worker count on purpose)
+			// and continue the walk.
+			re := NewStreamContext(3)
+			if err := re.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+				t.Fatalf("split %d: restore: %v", mid, err)
+			}
+			for _, nd := range f.Networks[mid:] {
+				if err := re.Observe(nd); err != nil {
+					t.Fatal(err)
+				}
+			}
+			re.SetClients(f.Clients)
+			got, err := re.Finalize()
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		var buf bytes.Buffer
-		if err := sc.Snapshot(&buf); err != nil {
-			t.Fatalf("split %d: snapshot: %v", mid, err)
-		}
+			compareRuns(t, "restored", got, want)
 
-		// Restore into a fresh context (different worker count on purpose)
-		// and continue the walk.
-		re := NewStreamContext(3)
-		if err := re.Restore(bytes.NewReader(buf.Bytes())); err != nil {
-			t.Fatalf("split %d: restore: %v", mid, err)
-		}
-		for _, nd := range f.Networks[mid:] {
-			if err := re.Observe(nd); err != nil {
+			// The snapshotted context keeps running unperturbed.
+			for _, nd := range f.Networks[mid:] {
+				if err := sc.Observe(nd); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sc.SetClients(f.Clients)
+			cont, err := sc.Finalize()
+			if err != nil {
 				t.Fatal(err)
 			}
+			compareRuns(t, "continued-after-snapshot", cont, want)
 		}
-		re.SetClients(f.Clients)
-		got, err := re.Finalize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareRuns(t, "restored", got, want)
-
-		// The snapshotted context keeps running unperturbed.
-		for _, nd := range f.Networks[mid:] {
-			if err := sc.Observe(nd); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sc.SetClients(f.Clients)
-		cont, err := sc.Finalize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareRuns(t, "continued-after-snapshot", cont, want)
 	}
 }
 

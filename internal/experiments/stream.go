@@ -384,6 +384,21 @@ func (s *StreamContext) Stats() (networks, maxInFlight int) {
 	return s.networks, s.maxInFlight
 }
 
+// Drain shuts the pipeline down and applies every in-flight network to
+// the accumulators — Finalize's first half, without rendering results.
+// After Drain the context must not be observed again; its remaining uses
+// are Merge (in either direction) and, on the merge target, Finalize.
+// Drain is idempotent and returns the first pipeline error.
+func (s *StreamContext) Drain() error {
+	if !s.drained {
+		s.drained = true
+		s.start.Do(func() { go s.collect() })
+		close(s.jobs)
+		<-s.collectorDone
+	}
+	return s.loadErr()
+}
+
 // Finalize drains the pipeline and renders every experiment of the run,
 // in its order, fanning finalizers across the worker pool. It must be called
 // exactly once, after the last Observe (and, on a DeferSamples run,

@@ -91,9 +91,10 @@ func (s *Server) enforceMaxDatasets(keep *dsEntry) {
 }
 
 // janitor periodically evicts ready datasets idle past DatasetTTL,
-// until shutdown. The sweep interval tracks the TTL so eviction lag is
-// a fraction of the TTL itself.
+// until shutdown, which joins it. The sweep interval tracks the TTL so
+// eviction lag is a fraction of the TTL itself.
 func (s *Server) janitor() {
+	defer s.running.Done()
 	interval := s.cfg.DatasetTTL / 4
 	if interval < 10*time.Millisecond {
 		interval = 10 * time.Millisecond

@@ -9,10 +9,12 @@ package meshd
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -189,6 +191,51 @@ func TestMeshdTTLEviction(t *testing.T) {
 			t.Fatal("idle dataset never evicted by TTL")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestMeshdShutdownJoinsJanitor: Shutdown joins every goroutine the
+// server started — with a TTL that includes the eviction janitor, which
+// must have signaled its exit the moment Shutdown returns. A janitor
+// still inside its final WaitGroup.Done has been joined and is only
+// unwinding; any other janitor frame is one Shutdown did not wait for.
+// An unjoined janitor exits a moment later on its own, so the first
+// check (a warmed quick scenario) is repeated over many bare
+// New/Shutdown cycles to catch that window.
+func TestMeshdShutdownJoinsJanitor(t *testing.T) {
+	buf := make([]byte, 1<<20)
+	janitorGone := func(what string) {
+		t.Helper()
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		for _, g := range strings.Split(stacks, "\n\n") {
+			if strings.Contains(g, "meshd.(*Server).janitor") && !strings.Contains(g, "sync.(*WaitGroup).Done") {
+				t.Fatalf("%s: janitor still running after Shutdown returned:\n%s", what, g)
+			}
+		}
+	}
+	base := runtime.NumGoroutine()
+	s := New(Config{Dir: t.TempDir(), DatasetTTL: time.Hour})
+	if _, err := s.RegisterScenario("quick", "quick"); err != nil {
+		t.Fatal(err)
+	}
+	waitReady(t, s, "quick")
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	janitorGone("a warmed server")
+	for i := 0; i < 300; i++ {
+		if err := New(Config{DatasetTTL: time.Hour}).Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		janitorGone(fmt.Sprintf("bare cycle %d", i))
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("Shutdown leaked goroutines: %d running, baseline %d\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -148,11 +148,13 @@ type Config struct {
 // Server is the concurrent analysis service. Create with New, serve
 // via Handler, stop with Shutdown.
 type Server struct {
-	cfg    Config
-	pool   *conc.Pool
-	warms  sync.WaitGroup
-	base   context.Context
-	cancel context.CancelFunc
+	cfg  Config
+	pool *conc.Pool
+	// running counts the goroutines Shutdown joins: every in-flight warm
+	// and, with a TTL, the eviction janitor.
+	running sync.WaitGroup
+	base    context.Context
+	cancel  context.CancelFunc
 	// closing is closed when Shutdown begins: queued warms abort their
 	// pool waits and retrying warms abort their backoff sleeps, while
 	// in-flight warm attempts keep draining until the budget expires
@@ -286,6 +288,7 @@ func New(cfg Config) *Server {
 		synthLocks: make(map[string]*sync.Mutex),
 	}
 	if cfg.DatasetTTL > 0 {
+		s.running.Add(1)
 		go s.janitor()
 	}
 	return s
@@ -391,7 +394,7 @@ func (s *Server) register(name, source string) error {
 	d.cancel = cancel
 	d.lastUsed.Store(time.Now().UnixNano())
 	d.mu.Unlock()
-	s.warms.Add(1)
+	s.running.Add(1)
 	s.mu.Unlock()
 	s.enforceMaxDatasets(d)
 	go s.warm(ctx, cancel, d, source, gen)
@@ -608,7 +611,8 @@ func (snap *Snapshot) Sec4() string { return snap.sec4 }
 
 // Shutdown stops the server: no new registrations, queued warms are
 // unblocked, retrying warms abort their backoff sleeps, and in-flight
-// warm attempts are drained — bounded by ctx. When the drain budget
+// warm attempts are drained and the TTL janitor joined — bounded by ctx.
+// When the drain budget
 // expires, in-flight warms are hard-canceled (their dataset streams
 // abort at the next read) and Shutdown returns ctx.Err(). Draining
 // in-flight HTTP queries is the HTTP server's job
@@ -622,7 +626,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Unlock()
 	done := make(chan struct{})
 	go func() {
-		s.warms.Wait()
+		s.running.Wait()
 		close(done)
 	}()
 	select {

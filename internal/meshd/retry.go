@@ -67,7 +67,7 @@ func (s *Server) retryBase() time.Duration {
 // checked, so a warm superseded by a re-registration (or detached by
 // DELETE) publishes nothing.
 func (s *Server) warm(ctx context.Context, cancel context.CancelFunc, d *dsEntry, source string, gen int) {
-	defer s.warms.Done()
+	defer s.running.Done()
 	defer cancel()
 	rng := rand.New(rand.NewSource(int64(gen)*0x9E3779B9 + int64(len(d.name))))
 	retries := s.warmRetries()

@@ -316,8 +316,10 @@ type shardOut struct {
 
 // attempt runs one shard's body up to 1+MaxRetries times on fresh file
 // handles, returning the shard's yield, the attempt count, and the
-// final error. Corruption short-circuits the loop; ctx cancellation
-// surfaces as the context's error.
+// final error. Only a failure classify presumes transient (Exhausted)
+// retries; corruption, checkpoint failures and mismatches, and
+// cancellation end the loop at once, since re-streaming fixes none of
+// them. ctx cancellation surfaces as the context's error.
 func attempt(ctx context.Context, index int, opts Options, run func() (*shardOut, error)) (*shardOut, int, error) {
 	rng := shardRng(index)
 	for try := 0; ; try++ {
@@ -328,10 +330,7 @@ func attempt(ctx context.Context, index int, opts Options, run func() (*shardOut
 		if err == nil {
 			return out, try + 1, nil
 		}
-		// Corruption, checkpoint-write failures (including injected
-		// kills), and checkpoint identity mismatches are not transient:
-		// retrying re-streams data without fixing the cause.
-		if wire.IsCorrupt(err) || errors.Is(err, ErrCheckpoint) || errors.Is(err, checkpoint.ErrMismatch) || try >= opts.MaxRetries {
+		if classify(err) != Exhausted || try >= opts.MaxRetries {
 			return nil, try + 1, err
 		}
 		if serr := retry.Sleep(ctx, retry.Backoff(opts.retryBase(), try, rng)); serr != nil {
@@ -712,7 +711,7 @@ func assemble(reports []Report, outs []*shardOut, meta dataset.Meta, clients []*
 	}
 	m := &Manifest{Shards: reports}
 	res := &Result{Meta: meta, Manifest: m}
-	var primary *experiments.StreamContext
+	var ok []*experiments.StreamContext
 	var firstErr error
 	for s := range reports {
 		r := &reports[s]
@@ -724,11 +723,7 @@ func assemble(reports []Report, outs []*shardOut, meta dataset.Meta, clients []*
 			res.NetworksN += out.n
 			res.ProbeSets += out.probeSets
 			res.FlatSamples = res.FlatSamples || out.flatSamples
-			if primary == nil {
-				primary = out.sc
-			} else if err := primary.Merge(out.sc); err != nil {
-				return nil, fmt.Errorf("shard: merging shard %d: %w", s, err)
-			}
+			ok = append(ok, out.sc)
 			continue
 		}
 		m.Degraded = true
@@ -750,12 +745,16 @@ func assemble(reports []Report, outs []*shardOut, meta dataset.Meta, clients []*
 	if firstErr != nil && !opts.AllowPartial {
 		return nil, firstErr
 	}
-	if primary == nil {
+	if len(ok) == 0 {
 		if firstErr != nil {
 			// Degraded mode needs at least one surviving shard to report on.
 			return nil, fmt.Errorf("every shard failed: %w", firstErr)
 		}
 		return nil, fmt.Errorf("shard: no shards ran")
+	}
+	primary := ok[0]
+	if err := primary.Merge(ok[1:]...); err != nil {
+		return nil, fmt.Errorf("shard: merging shards: %w", err)
 	}
 	primary.SetClients(clients)
 	results, err := primary.Finalize()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"meshlab/internal/wire"
 )
@@ -42,6 +43,33 @@ func TestStateStrings(t *testing.T) {
 	for s, want := range map[State]string{OK: "ok", Quarantined: "quarantined", Exhausted: "exhausted"} {
 		if s.String() != want {
 			t.Fatalf("%d.String() = %q, want %q", s, s.String(), want)
+		}
+	}
+}
+
+// TestAttemptRetriesOnlyTransient: attempt retries exactly the failures
+// classify presumes transient. A checkpoint failure runs once; a
+// transient one runs 1+MaxRetries times.
+func TestAttemptRetriesOnlyTransient(t *testing.T) {
+	opts := Options{MaxRetries: 3, RetryBase: time.Microsecond}
+	for _, c := range []struct {
+		name string
+		err  error
+		runs int
+	}{
+		{"checkpoint", fmt.Errorf("save: %w", ErrCheckpoint), 1},
+		{"transient", errors.New("read: connection reset"), 1 + opts.MaxRetries},
+	} {
+		runs := 0
+		_, attempts, err := attempt(context.Background(), 0, opts, func() (*shardOut, error) {
+			runs++
+			return nil, c.err
+		})
+		if !errors.Is(err, c.err) {
+			t.Fatalf("%s: attempt returned %v, want %v", c.name, err, c.err)
+		}
+		if runs != c.runs || attempts != c.runs {
+			t.Fatalf("%s: ran %d time(s), reported %d attempt(s); want %d", c.name, runs, attempts, c.runs)
 		}
 	}
 }

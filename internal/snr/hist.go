@@ -9,9 +9,10 @@ package snr
 // factor, about one probe, with no more memory per entry than the map.
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // emptyKey marks a free f64Table slot. It is a NaN bit pattern, and NaN
@@ -144,8 +145,8 @@ func (h *diffHist) sorted() (vals []float64, counts []int64) {
 			entries = append(entries, s)
 		}
 	}
-	sort.Slice(entries, func(a, b int) bool {
-		return math.Float64frombits(entries[a].k) < math.Float64frombits(entries[b].k)
+	slices.SortFunc(entries, func(a, b f64Slot) int {
+		return cmp.Compare(math.Float64frombits(a.k), math.Float64frombits(b.k))
 	})
 	vals = make([]float64, len(entries))
 	counts = make([]int64, len(entries))

@@ -1,14 +1,17 @@
 package snr
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"testing"
+
+	"meshlab/internal/binio"
 )
 
 // splitShards partitions samples into k contiguous shards aligned on
-// network boundaries — the shard contract merge.go documents. Shards may
-// be empty when k exceeds the network count.
+// network boundaries — the shard contract snapshot.go documents. Shards
+// may be empty when k exceeds the network count.
 func splitShards(t testing.TB, samples []Sample, k int) [][]Sample {
 	t.Helper()
 	var bounds []int // group start indices
@@ -33,58 +36,33 @@ func splitShards(t testing.TB, samples []Sample, k int) [][]Sample {
 	return shards
 }
 
-// mergeShards feeds each shard into its own accumulator via feed, then
-// folds them all into the first with merge — the shard runner's
-// gather step.
-func mergeShards[T any](shards [][]Sample, mk func() T, feed func(T, []Sample), merge func(dst, src T)) T {
+// fold merges src into dst the way the shard runner does: encode src
+// with its snapshot writer, then restore the bytes into dst.
+func fold(t testing.TB, dst, src chunkCore) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := src.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Restore(&buf); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mergeShards feeds each shard into its own accumulator, then folds them
+// all into a fresh one in shard order — the shard runner's gather step.
+func mergeShards[T chunkCore](t testing.TB, shards [][]Sample, mk func() T) T {
+	t.Helper()
 	dst := mk()
 	for _, shard := range shards {
 		acc := mk()
 		_ = ForEachSampleGroup(shard, func(g []Sample) error {
-			feed(acc, g)
+			acc.ObserveGroup(g)
 			return nil
 		})
-		merge(dst, acc)
+		fold(t, dst, acc)
 	}
 	return dst
-}
-
-func TestDistMerge(t *testing.T) {
-	var a, b, both diffHist
-	add := func(h *diffHist, v float64, n int64) { h.add(v, n) }
-	for _, e := range []struct {
-		v float64
-		n int64
-	}{{1.5, 3}, {math.NaN(), 2}, {2.25, 1}} {
-		add(&a, e.v, e.n)
-		add(&both, e.v, e.n)
-	}
-	for _, e := range []struct {
-		v float64
-		n int64
-	}{{1.5, 1}, {4.0, 5}, {math.NaN(), 1}} {
-		add(&b, e.v, e.n)
-		add(&both, e.v, e.n)
-	}
-	da, db, want := a.freeze(), b.freeze(), both.freeze()
-	da.Merge(db)
-	if !reflect.DeepEqual(da.Materialize(), want.Materialize()) &&
-		!materializeEqualNaN(da.Materialize(), want.Materialize()) {
-		t.Fatalf("merged dist %v != combined %v", da.Materialize(), want.Materialize())
-	}
-
-	// Empty-partial identity, both directions.
-	var empty diffHist
-	de := empty.freeze()
-	de.Merge(want)
-	if !materializeEqualNaN(de.Materialize(), want.Materialize()) {
-		t.Fatal("empty.Merge(x) != x")
-	}
-	w2 := both.freeze()
-	w2.Merge(empty.freeze())
-	if !materializeEqualNaN(w2.Materialize(), want.Materialize()) {
-		t.Fatal("x.Merge(empty) != x")
-	}
 }
 
 // materializeEqualNaN compares materialized distributions treating NaN as
@@ -115,17 +93,15 @@ func TestPenaltyAccumMerge(t *testing.T) {
 
 	for _, k := range []int{1, 2, 3, 9} {
 		shards := splitShards(t, samples, k)
-		merged := mergeShards(shards,
-			func() *PenaltyAccum { return NewPenaltyAccum(7, Scopes) },
-			func(a *PenaltyAccum, g []Sample) { a.ObserveGroup(g) },
-			func(dst, src *PenaltyAccum) { dst.Merge(src) })
+		merged := mergeShards(t, shards,
+			func() *PenaltyAccum { return NewPenaltyAccum(7, Scopes) })
 		if got := merged.Finalize(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("k=%d: merged penalty diverges from whole run", k)
 		}
 	}
 
 	// Sub-chunked shards: a shard's networks arrive as many link-aligned
-	// chunks, so merge sees held/banked state flushed by finishNet.
+	// chunks, so the fold sees held/banked state flushed by finishNet.
 	shards := splitShards(t, samples, 3)
 	dst := NewPenaltyAccum(7, Scopes)
 	for _, shard := range shards {
@@ -133,7 +109,7 @@ func TestPenaltyAccumMerge(t *testing.T) {
 		if len(shard) > 0 {
 			feedLinkChunks(t, shard, 16, acc.ObserveGroup)
 		}
-		dst.Merge(acc)
+		fold(t, dst, acc)
 	}
 	if got := dst.Finalize(); !reflect.DeepEqual(got, want) {
 		t.Fatal("sub-chunked sharded penalty diverges from whole run")
@@ -142,9 +118,9 @@ func TestPenaltyAccumMerge(t *testing.T) {
 	// Empty-partial identity.
 	lone := NewPenaltyAccum(7, Scopes)
 	feedGroups(t, samples, lone.ObserveGroup)
-	lone.Merge(NewPenaltyAccum(7, Scopes))
+	fold(t, lone, NewPenaltyAccum(7, Scopes))
 	if got := lone.Finalize(); !reflect.DeepEqual(got, want) {
-		t.Fatal("x.Merge(empty) changed the penalty result")
+		t.Fatal("folding an empty partial changed the penalty result")
 	}
 }
 
@@ -154,10 +130,8 @@ func TestCoverageAccumMerge(t *testing.T) {
 		for _, minObs := range []int{1, 8} {
 			want := Train(samples, 7, sc).Coverage(minObs)
 			for _, k := range []int{1, 2, 4} {
-				merged := mergeShards(splitShards(t, samples, k),
-					func() *CoverageAccum { return NewCoverageAccum(7, sc, minObs) },
-					func(a *CoverageAccum, g []Sample) { a.ObserveGroup(g) },
-					func(dst, src *CoverageAccum) { dst.Merge(src) })
+				merged := mergeShards(t, splitShards(t, samples, k),
+					func() *CoverageAccum { return NewCoverageAccum(7, sc, minObs) })
 				if got := merged.Finalize(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%v/minObs=%d/k=%d: merged coverage diverges", sc, minObs, k)
 				}
@@ -165,9 +139,9 @@ func TestCoverageAccumMerge(t *testing.T) {
 			// Empty-partial identity.
 			lone := NewCoverageAccum(7, sc, minObs)
 			feedGroups(t, samples, lone.ObserveGroup)
-			lone.Merge(NewCoverageAccum(7, sc, minObs))
+			fold(t, lone, NewCoverageAccum(7, sc, minObs))
 			if got := lone.Finalize(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v: x.Merge(empty) changed the coverage result", sc)
+				t.Fatalf("%v: folding an empty partial changed the coverage result", sc)
 			}
 		}
 	}
@@ -177,55 +151,49 @@ func TestTputAccumMerge(t *testing.T) {
 	samples := simulated(t)
 	want := ThroughputVsSNR(samples, 7, 25)
 	for _, k := range []int{1, 3} {
-		merged := mergeShards(splitShards(t, samples, k),
-			func() *TputAccum { return NewTputAccum(7, 25) },
-			func(a *TputAccum, g []Sample) { a.ObserveGroup(g) },
-			func(dst, src *TputAccum) { dst.Merge(src) })
+		merged := mergeShards(t, splitShards(t, samples, k),
+			func() *TputAccum { return NewTputAccum(7, 25) })
 		if got := merged.Finalize(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("k=%d: merged throughput-vs-SNR diverges", k)
 		}
 	}
 	lone := NewTputAccum(7, 25)
 	feedGroups(t, samples, lone.ObserveGroup)
-	lone.Merge(NewTputAccum(7, 25))
+	fold(t, lone, NewTputAccum(7, 25))
 	if got := lone.Finalize(); !reflect.DeepEqual(got, want) {
-		t.Fatal("x.Merge(empty) changed the tput result")
+		t.Fatal("folding an empty partial changed the tput result")
 	}
 }
 
 func TestRateSetAccumMerge(t *testing.T) {
 	samples := simulated(t)
 	want := OptimalRateSets(samples)
-	merged := mergeShards(splitShards(t, samples, 3),
-		func() *RateSetAccum { return NewRateSetAccum() },
-		func(a *RateSetAccum, g []Sample) { a.ObserveGroup(g) },
-		func(dst, src *RateSetAccum) { dst.Merge(src) })
+	merged := mergeShards(t, splitShards(t, samples, 3),
+		func() *RateSetAccum { return NewRateSetAccum() })
 	if got := merged.Finalize(); !reflect.DeepEqual(got, want) {
 		t.Fatal("merged rate sets diverge from batch")
 	}
 	lone := NewRateSetAccum()
 	feedGroups(t, samples, lone.ObserveGroup)
-	lone.Merge(NewRateSetAccum())
+	fold(t, lone, NewRateSetAccum())
 	if got := lone.Finalize(); !reflect.DeepEqual(got, want) {
-		t.Fatal("x.Merge(empty) changed the rate sets")
+		t.Fatal("folding an empty partial changed the rate sets")
 	}
 }
 
 func TestStrategyAccumMerge(t *testing.T) {
 	samples := simulated(t)
 	want := ReplayStrategies(samples, 7, 35)
-	merged := mergeShards(splitShards(t, samples, 3),
-		func() *StrategyAccum { return NewStrategyAccum(7, 35) },
-		func(a *StrategyAccum, g []Sample) { a.ObserveGroup(g) },
-		func(dst, src *StrategyAccum) { dst.Merge(src) })
+	merged := mergeShards(t, splitShards(t, samples, 3),
+		func() *StrategyAccum { return NewStrategyAccum(7, 35) })
 	if got := merged.Finalize(); !reflect.DeepEqual(got, want) {
 		t.Fatal("merged strategy replay diverges from batch")
 	}
 	lone := NewStrategyAccum(7, 35)
 	feedGroups(t, samples, lone.ObserveGroup)
-	lone.Merge(NewStrategyAccum(7, 35))
+	fold(t, lone, NewStrategyAccum(7, 35))
 	if got := lone.Finalize(); !reflect.DeepEqual(got, want) {
-		t.Fatal("x.Merge(empty) changed the strategy result")
+		t.Fatal("folding an empty partial changed the strategy result")
 	}
 }
 
@@ -233,21 +201,65 @@ func TestTopKAccumMerge(t *testing.T) {
 	samples := simulated(t)
 	ks := []int{1, 2, 3}
 	want := TopKCoverage(samples, 7, Link, ks)
-	merged := mergeShards(splitShards(t, samples, 4),
-		func() *TopKAccum { return NewTopKAccum(7, ks) },
-		func(a *TopKAccum, g []Sample) { a.ObserveGroup(g) },
-		func(dst, src *TopKAccum) { dst.Merge(src) })
+	merged := mergeShards(t, splitShards(t, samples, 4),
+		func() *TopKAccum { return NewTopKAccum(7, ks) })
 	if got := merged.Finalize(); !reflect.DeepEqual(got, want) {
 		t.Fatal("merged top-k coverage diverges from batch")
 	}
 	lone := NewTopKAccum(7, ks)
 	feedGroups(t, samples, lone.ObserveGroup)
-	lone.Merge(NewTopKAccum(7, ks))
+	fold(t, lone, NewTopKAccum(7, ks))
 	if got := lone.Finalize(); !reflect.DeepEqual(got, want) {
-		t.Fatal("x.Merge(empty) changed the top-k result")
+		t.Fatal("folding an empty partial changed the top-k result")
 	}
 }
 
+// TestFoldFlushesReceiverPendingNetwork: a receiver still holds its
+// last network at Network and AP scope when the next shard folds in —
+// held back whole when it arrived as one chunk, banking when it arrived
+// as link-aligned sub-chunks. The fold must complete that network first,
+// as Snapshot does; resetting the boundary state without the flush would
+// drop it.
+func TestFoldFlushesReceiverPendingNetwork(t *testing.T) {
+	samples := simulated(t)
+	shards := splitShards(t, samples, 3)
+	wholeNets := func(shard []Sample, fn func([]Sample)) {
+		_ = ForEachSampleGroup(shard, func(g []Sample) error {
+			fn(g)
+			return nil
+		})
+	}
+	subChunks := func(shard []Sample, fn func([]Sample)) { feedLinkChunks(t, shard, 16, fn) }
+	scopes := []Scope{Network, AP}
+	for name, feed := range map[string]func([]Sample, func([]Sample)){"held": wholeNets, "banking": subChunks} {
+		receive := func(mk func() chunkCore) chunkCore {
+			dst := mk()
+			feed(shards[0], dst.ObserveGroup)
+			for _, shard := range shards[1:] {
+				src := mk()
+				feed(shard, src.ObserveGroup)
+				fold(t, dst, src)
+			}
+			return dst
+		}
+
+		whole := NewPenaltyAccum(7, scopes)
+		feedGroups(t, samples, whole.ObserveGroup)
+		pen := receive(func() chunkCore { return NewPenaltyAccum(7, scopes) }).(*PenaltyAccum)
+		if got, want := pen.Finalize(), whole.Finalize(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: penalty receiver's pending network lost in the fold", name)
+		}
+		for _, sc := range scopes {
+			want := Train(samples, 7, sc).Coverage(1)
+			cov := receive(func() chunkCore { return NewCoverageAccum(7, sc, 1) }).(*CoverageAccum)
+			if got := cov.Finalize(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: coverage/%v receiver's pending network lost in the fold", name, sc)
+			}
+		}
+	}
+}
+
+// TestTableMerge folds per-shard tables through writeTable/readTable.
 func TestTableMerge(t *testing.T) {
 	samples := simulated(t)
 	for _, sc := range Scopes {
@@ -255,7 +267,15 @@ func TestTableMerge(t *testing.T) {
 		shards := splitShards(t, samples, 3)
 		merged := &Table{Scope: sc, NumRates: 7, counts: make(map[instKey]map[int][]int)}
 		for _, shard := range shards {
-			merged.Merge(Train(shard, 7, sc))
+			var buf bytes.Buffer
+			bw := binio.NewWriter(&buf)
+			writeTable(bw, Train(shard, 7, sc))
+			if err := bw.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if err := readTable(binio.NewReader(&buf), merged); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if !reflect.DeepEqual(merged.counts, want.counts) {
 			t.Fatalf("%v: merged table diverges from whole-train", sc)

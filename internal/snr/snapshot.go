@@ -1,9 +1,11 @@
 package snr
 
 // snapshot.go gives every chunked §4 core a versioned binary
-// Snapshot(w)/Restore(r) of its partial state, so a streaming run can be
-// checkpointed at a network boundary and resumed byte-identically in a
-// fresh process.
+// Snapshot(w)/Restore(r) of its partial state. Restore folds the decoded
+// state into the receiver, so the one pair of codecs serves both uses: a
+// fresh accumulator restored from a checkpoint resumes the run
+// byte-identically, and a used accumulator restored from another's
+// snapshot has merged that partial (encode, then fold).
 //
 // The boundary contract: Snapshot must be called between networks — after
 // the last chunk of one network and before the first chunk of the next.
@@ -17,9 +19,20 @@ package snr
 // serializes. The AP scope's value dictionary is deliberately not
 // serialized: post-flush its banks are empty, so no dictionary id is
 // referenced, and a restored run simply re-interns values as they recur
-// (ids differ, realized values do not). Restore resets the
-// boundary-tracking fields (curNet/netSeen/held) to their pre-first-chunk
-// zero state, which behaves identically going forward.
+// (ids differ, realized values do not). Restore flushes the receiver's
+// own pending network the same way, then resets the boundary-tracking
+// fields (curNet/netSeen) to their pre-first-chunk zero state, which
+// behaves identically going forward.
+//
+// Why the fold is exact: every persistent field is a count or histogram
+// table, so folding is addition — no floating-point reassociation. The
+// shard contract mirrors the chunk contract (see chunked.go) one level
+// up: each partial observes a contiguous run of whole networks, and
+// partials fold in input order. Network-, AP- and Link-scope state is
+// then resolved within each partial, and only Global-scope cells carry
+// banked state across the fold; they combine count-wise and resolve once,
+// at Finalize, so the fleet-wide argmax sees exactly the counts a whole
+// run would. The shard-vs-whole oracles in merge_test.go pin this.
 //
 // Every decode-side count is validated by binio against the remaining
 // input, and structural parameters (rate counts, scopes, ks) must match
@@ -57,8 +70,8 @@ func writeHist(w *binio.Writer, h *diffHist) {
 	w.I64(h.nan)
 }
 
-// readHist decodes into h (which must be zero). Repeated keys add up, and
-// a NaN key (which writeHist never emits) counts toward the NaN tally.
+// readHist adds a decoded histogram into h. Repeated keys add up, and a
+// NaN key (which writeHist never emits) counts toward the NaN tally.
 func readHist(r *binio.Reader, h *diffHist) {
 	n := r.Count(16)
 	if r.Err() != nil {
@@ -95,27 +108,24 @@ func writeCells(w *binio.Writer, nr int, cells map[int]*bankedCell) {
 	}
 }
 
-func readCells(r *binio.Reader, nr int) map[int]*bankedCell {
+// readCells folds decoded cells into cells: counts add, and pending
+// histograms add through readHist.
+func readCells(r *binio.Reader, nr int, cells map[int]*bankedCell) {
 	n := r.Count(8)
-	if r.Err() != nil {
-		return nil
-	}
-	cells := make(map[int]*bankedCell, n)
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && r.Err() == nil; i++ {
 		k := r.Int()
-		cell := &bankedCell{counts: make([]int64, nr), pend: make([]diffHist, nr)}
-		for ri := 0; ri < nr; ri++ {
-			cell.counts[ri] = r.I64()
+		cell := cells[k]
+		if cell == nil {
+			cell = &bankedCell{counts: make([]int64, nr), pend: make([]diffHist, nr)}
+			cells[k] = cell
 		}
-		for p := 0; p < nr; p++ {
+		for ri := range cell.counts {
+			cell.counts[ri] += r.I64()
+		}
+		for p := range cell.pend {
 			readHist(r, &cell.pend[p])
 		}
-		if r.Err() != nil {
-			return nil
-		}
-		cells[k] = cell
 	}
-	return cells
 }
 
 // Snapshot serializes the penalty core's partial state. Must be called
@@ -144,8 +154,8 @@ func (a *PenaltyAccum) Snapshot(w io.Writer) error {
 	return bw.Err()
 }
 
-// Restore loads a Snapshot into a freshly constructed accumulator with
-// the same rate count and scopes.
+// Restore folds a Snapshot into an accumulator with the same rate count
+// and scopes. A used receiver must sit at a network boundary too.
 func (a *PenaltyAccum) Restore(r io.Reader) error {
 	br := binio.NewReader(r)
 	if v := br.U8(); br.Err() == nil && v != penaltySnapV1 {
@@ -162,24 +172,23 @@ func (a *PenaltyAccum) Restore(r io.Reader) error {
 	if ns != len(a.states) {
 		return fmt.Errorf("snr: penalty snapshot has %d scopes, accumulator %d", ns, len(a.states))
 	}
-	a.total = total
+	a.total += total
 	for si := range a.states {
 		st := &a.states[si]
 		if sc := Scope(br.U8()); br.Err() == nil && sc != st.scope {
 			return fmt.Errorf("snr: penalty snapshot scope %v at slot %d, accumulator %v", sc, si, st.scope)
 		}
-		st.diffs = diffHist{}
-		readHist(br, &st.diffs)
-		st.exact = br.I64()
-		if st.scope == Global {
-			cells := readCells(br, a.numRates)
-			if br.Err() == nil {
-				st.cells = cells
-			}
+		if st.scope == Network || st.scope == AP {
+			// The receiver's own pending network completes first, exactly
+			// as Snapshot flushes it; the fold then only adds.
+			a.finishNet(st)
+			st.curNet, st.netSeen = "", false
 		}
-		st.held = nil
-		st.banking = false
-		st.curNet, st.netSeen = "", false
+		readHist(br, &st.diffs)
+		st.exact += br.I64()
+		if st.scope == Global {
+			readCells(br, a.numRates, st.cells)
+		}
 		if err := br.Err(); err != nil {
 			return fmt.Errorf("snr: penalty snapshot scope %v: %w", st.scope, err)
 		}
@@ -230,8 +239,8 @@ func writeTable(w *binio.Writer, t *Table) {
 	}
 }
 
-// readTable decodes into t, replacing its counts; the stored scope and
-// rate count must match t's.
+// readTable folds a decoded table into t, count-wise; the stored scope
+// and rate count must match t's.
 func readTable(r *binio.Reader, t *Table) error {
 	present := r.Bool()
 	if err := r.Err(); err != nil {
@@ -253,28 +262,32 @@ func readTable(r *binio.Reader, t *Table) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	counts := make(map[instKey]map[int][]int, n)
 	for i := 0; i < n; i++ {
 		k := instKey{net: r.String(), from: int32(r.I64()), to: int32(r.I64())}
 		m := r.Count(8)
 		if r.Err() != nil {
 			return r.Err()
 		}
-		inner := make(map[int][]int, m)
+		inner := t.counts[k]
+		if inner == nil {
+			inner = make(map[int][]int, m)
+			t.counts[k] = inner
+		}
 		for j := 0; j < m; j++ {
 			s := r.Int()
-			row := make([]int, t.NumRates)
+			row := inner[s]
+			if row == nil {
+				row = make([]int, t.NumRates)
+				inner[s] = row
+			}
 			for ri := range row {
-				row[ri] = int(r.I64())
+				row[ri] += int(r.I64())
 			}
 			if r.Err() != nil {
 				return r.Err()
 			}
-			inner[s] = row
 		}
-		counts[k] = inner
 	}
-	t.counts = counts
 	return r.Err()
 }
 
@@ -308,8 +321,8 @@ func (a *CoverageAccum) Snapshot(w io.Writer) error {
 	return bw.Err()
 }
 
-// Restore loads a Snapshot into a freshly constructed accumulator with
-// the same scope, rate count, and cell floor.
+// Restore folds a Snapshot into an accumulator with the same scope, rate
+// count, and cell floor. A used receiver must sit at a network boundary.
 func (a *CoverageAccum) Restore(r io.Reader) error {
 	br := binio.NewReader(r)
 	if v := br.U8(); br.Err() == nil && v != coverageSnapV1 {
@@ -324,6 +337,10 @@ func (a *CoverageAccum) Restore(r io.Reader) error {
 	if mo := br.Int(); br.Err() == nil && mo != a.agg.minObs {
 		return fmt.Errorf("snr: coverage snapshot minObs %d, accumulator %d", mo, a.agg.minObs)
 	}
+	if a.scope == Network || a.scope == AP {
+		a.finishNet()
+		a.curNet, a.netSeen = "", false
+	}
 	if err := readTable(br, a.table); err != nil {
 		return fmt.Errorf("snr: coverage snapshot: %w", err)
 	}
@@ -331,18 +348,25 @@ func (a *CoverageAccum) Restore(r io.Reader) error {
 	if err := br.Err(); err != nil {
 		return fmt.Errorf("snr: coverage snapshot: %w", err)
 	}
-	bySNR := make(map[int]*covCell, n)
 	for i := 0; i < n; i++ {
 		s := br.Int()
-		c := &covCell{n50: br.F64(), n80: br.F64(), n95: br.F64(), max95: br.Int(), cells: br.Int()}
+		n50, n80, n95, max95, cells := br.F64(), br.F64(), br.F64(), br.Int(), br.Int()
 		if err := br.Err(); err != nil {
 			return fmt.Errorf("snr: coverage snapshot: %w", err)
 		}
-		bySNR[s] = c
+		// covCell contributions are integer-valued, so the float sums
+		// stay exact.
+		c := a.agg.bySNR[s]
+		if c == nil {
+			c = &covCell{}
+			a.agg.bySNR[s] = c
+		}
+		c.n50 += n50
+		c.n80 += n80
+		c.n95 += n95
+		c.max95 = max(c.max95, max95)
+		c.cells += cells
 	}
-	a.agg.bySNR = bySNR
-	a.held = nil
-	a.curNet, a.netSeen = "", false
 	return br.Err()
 }
 
@@ -370,7 +394,8 @@ func (a *TputAccum) Snapshot(w io.Writer) error {
 	return bw.Err()
 }
 
-// Restore loads a Snapshot into a freshly constructed accumulator.
+// Restore folds a Snapshot into an accumulator with the same rate count
+// and floor: rows add and the SNR range widens.
 func (a *TputAccum) Restore(r io.Reader) error {
 	br := binio.NewReader(r)
 	if v := br.U8(); br.Err() == nil && v != tputSnapV1 {
@@ -386,27 +411,27 @@ func (a *TputAccum) Restore(r io.Reader) error {
 	if err := br.Err(); err != nil {
 		return fmt.Errorf("snr: tput snapshot: %w", err)
 	}
-	rows := make(map[int]*tputRow, n)
-	minSNR, maxSNR := 0, 0
 	for i := 0; i < n; i++ {
 		s := br.Int()
-		row := &tputRow{n: br.I64(), cells: make([]diffHist, a.numRates)}
-		for ri := 0; ri < a.numRates; ri++ {
+		row := a.rows[s]
+		if row == nil {
+			row = &tputRow{cells: make([]diffHist, a.numRates)}
+			a.rows[s] = row
+			if len(a.rows) == 1 || s < a.minSNR {
+				a.minSNR = s
+			}
+			if len(a.rows) == 1 || s > a.maxSNR {
+				a.maxSNR = s
+			}
+		}
+		row.n += br.I64()
+		for ri := range row.cells {
 			readHist(br, &row.cells[ri])
 		}
 		if err := br.Err(); err != nil {
 			return fmt.Errorf("snr: tput snapshot: %w", err)
 		}
-		rows[s] = row
-		if i == 0 || s < minSNR {
-			minSNR = s
-		}
-		if i == 0 || s > maxSNR {
-			maxSNR = s
-		}
 	}
-	a.rows = rows
-	a.minSNR, a.maxSNR = minSNR, maxSNR
 	return br.Err()
 }
 
@@ -435,7 +460,7 @@ func (a *RateSetAccum) Snapshot(w io.Writer) error {
 	return bw.Err()
 }
 
-// Restore loads a Snapshot into a freshly constructed accumulator.
+// Restore folds a Snapshot into the accumulator (set union).
 func (a *RateSetAccum) Restore(r io.Reader) error {
 	br := binio.NewReader(r)
 	if v := br.U8(); br.Err() == nil && v != rateSetSnapV1 {
@@ -445,23 +470,24 @@ func (a *RateSetAccum) Restore(r io.Reader) error {
 	if err := br.Err(); err != nil {
 		return fmt.Errorf("snr: rate-set snapshot: %w", err)
 	}
-	seen := make(map[int]map[int]bool, n)
 	for i := 0; i < n; i++ {
 		s := br.Int()
 		m := br.Count(8)
 		if err := br.Err(); err != nil {
 			return fmt.Errorf("snr: rate-set snapshot: %w", err)
 		}
-		rates := make(map[int]bool, m)
+		rates := a.seen[s]
+		if rates == nil {
+			rates = make(map[int]bool, m)
+			a.seen[s] = rates
+		}
 		for j := 0; j < m; j++ {
 			rates[br.Int()] = true
 		}
 		if err := br.Err(); err != nil {
 			return fmt.Errorf("snr: rate-set snapshot: %w", err)
 		}
-		seen[s] = rates
 	}
-	a.seen = seen
 	return br.Err()
 }
 
@@ -473,9 +499,9 @@ func writeIntSlice(w *binio.Writer, vs []int) {
 	}
 }
 
-// readIntSliceInto decodes into dst, whose length must match the stored
-// one.
-func readIntSliceInto(r *binio.Reader, dst []int, what string) error {
+// addIntSlice adds a decoded slice into dst, whose length must match the
+// stored one.
+func addIntSlice(r *binio.Reader, dst []int, what string) error {
 	n := r.Count(8)
 	if err := r.Err(); err != nil {
 		return err
@@ -484,7 +510,7 @@ func readIntSliceInto(r *binio.Reader, dst []int, what string) error {
 		return fmt.Errorf("snr: %s has %d entries, accumulator %d", what, n, len(dst))
 	}
 	for i := range dst {
-		dst[i] = int(r.I64())
+		dst[i] += int(r.I64())
 	}
 	return r.Err()
 }
@@ -507,8 +533,8 @@ func (a *StrategyAccum) Snapshot(w io.Writer) error {
 	return bw.Err()
 }
 
-// Restore loads a Snapshot into a freshly constructed accumulator with
-// the same rate count and history cap.
+// Restore folds a Snapshot into an accumulator with the same rate count
+// and history cap: every counter adds.
 func (a *StrategyAccum) Restore(r io.Reader) error {
 	br := binio.NewReader(r)
 	if v := br.U8(); br.Err() == nil && v != strategySnapV1 {
@@ -528,15 +554,15 @@ func (a *StrategyAccum) Restore(r io.Reader) error {
 	}
 	for i := range a.results {
 		res := &a.results[i]
-		if err := readIntSliceInto(br, res.Hits, "strategy snapshot hits"); err != nil {
+		if err := addIntSlice(br, res.Hits, "strategy snapshot hits"); err != nil {
 			return err
 		}
-		if err := readIntSliceInto(br, res.Total, "strategy snapshot totals"); err != nil {
+		if err := addIntSlice(br, res.Total, "strategy snapshot totals"); err != nil {
 			return err
 		}
-		res.Updates = br.Int()
-		res.MemEntries = br.Int()
-		res.Skipped = br.Int()
+		res.Updates += br.Int()
+		res.MemEntries += br.Int()
+		res.Skipped += br.Int()
 	}
 	return br.Err()
 }
@@ -552,8 +578,8 @@ func (a *TopKAccum) Snapshot(w io.Writer) error {
 	return bw.Err()
 }
 
-// Restore loads a Snapshot into a freshly constructed accumulator with
-// the same rate count and k set.
+// Restore folds a Snapshot into an accumulator with the same rate count
+// and k set: the counters add.
 func (a *TopKAccum) Restore(r io.Reader) error {
 	br := binio.NewReader(r)
 	if v := br.U8(); br.Err() == nil && v != topkSnapV1 {
@@ -563,7 +589,7 @@ func (a *TopKAccum) Restore(r io.Reader) error {
 		return fmt.Errorf("snr: top-k snapshot has %d rates, accumulator %d", nr, a.numRates)
 	}
 	ks := make([]int, len(a.ks))
-	if err := readIntSliceInto(br, ks, "top-k snapshot ks"); err != nil {
+	if err := addIntSlice(br, ks, "top-k snapshot ks"); err != nil {
 		return err
 	}
 	for i, k := range ks {
@@ -571,10 +597,10 @@ func (a *TopKAccum) Restore(r io.Reader) error {
 			return fmt.Errorf("snr: top-k snapshot ks %v, accumulator %v", ks, a.ks)
 		}
 	}
-	if err := readIntSliceInto(br, a.hits, "top-k snapshot hits"); err != nil {
+	if err := addIntSlice(br, a.hits, "top-k snapshot hits"); err != nil {
 		return err
 	}
-	if err := readIntSliceInto(br, a.evaluated, "top-k snapshot evaluated"); err != nil {
+	if err := addIntSlice(br, a.evaluated, "top-k snapshot evaluated"); err != nil {
 		return err
 	}
 	return br.Err()

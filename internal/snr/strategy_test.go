@@ -170,10 +170,8 @@ func TestStrategyReplayMatchesMapReference(t *testing.T) {
 			if got := ReplayStrategies(samples, numRates, maxX); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s maxX=%d: dense replay diverges from the map reference:\n got %+v\nwant %+v", name, maxX, got, want)
 			}
-			merged := mergeShards(splitShards(t, samples, 3),
-				func() *StrategyAccum { return NewStrategyAccum(numRates, maxX) },
-				func(a *StrategyAccum, g []Sample) { a.ObserveGroup(g) },
-				func(dst, src *StrategyAccum) { dst.Merge(src) })
+			merged := mergeShards(t, splitShards(t, samples, 3),
+				func() *StrategyAccum { return NewStrategyAccum(numRates, maxX) })
 			if got := merged.Finalize(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s maxX=%d: merged dense replay diverges from the map reference", name, maxX)
 			}

@@ -16,6 +16,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -349,6 +351,52 @@ func TestShardedStreamQuarantinesCorrupt(t *testing.T) {
 	if len(res.Results) == 0 {
 		t.Fatal("degraded run produced no results")
 	}
+}
+
+// TestShardedStreamJoinsGoroutines extends TestWalksJoinGoroutines to
+// the shard runner: a degraded run with one quarantined shard under
+// AllowPartial, and a run whose ctx is canceled while shards are
+// streaming, each return only after every goroutine they started has
+// exited.
+func TestShardedStreamJoinsGoroutines(t *testing.T) {
+	_, sampled, _ := saveShardFixture(t, 54)
+	_, poptOff := firstSampleRowPopt(t, sampled)
+	inj := faultfs.New(faultfs.Fault{Kind: faultfs.Corrupt, Offset: poptOff, XOR: 0x80})
+	base := runtime.NumGoroutine()
+	res, err := ShardedStream(context.Background(), sampled, ShardOptions{
+		Shards: 3, Workers: 2, AllowPartial: true,
+		Open: inj.WrapOpen(func(p string) (io.ReadSeekCloser, error) { return os.Open(p) }),
+	})
+	if err != nil || !res.Manifest.Degraded {
+		t.Fatalf("want a degraded run, got err %v", err)
+	}
+	waitGoroutines(t, "a run with a quarantined shard", base)
+
+	// After a clean planning pass, one shard's sample rows fail
+	// transiently, and the first shard open cancels the run while the
+	// shards stream: the failing shard aborts its backoff sleep, the
+	// others run to completion.
+	plainOpen := func(p string) (io.ReadSeekCloser, error) { return os.Open(p) }
+	flakyOpen := faultfs.New(faultfs.Fault{Kind: faultfs.Transient, Offset: poptOff, Count: 1 << 20}).WrapOpen(plainOpen)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var opens atomic.Int32
+	open := func(p string) (io.ReadSeekCloser, error) {
+		switch opens.Add(1) {
+		case 1:
+			return plainOpen(p)
+		case 2:
+			cancel()
+		}
+		return flakyOpen(p)
+	}
+	base = runtime.NumGoroutine()
+	if _, err := ShardedStream(ctx, sampled, ShardOptions{
+		Shards: 3, Workers: 2, MaxRetries: 1 << 10, RetryBase: time.Hour, Open: open,
+	}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	waitGoroutines(t, "a canceled sharded run", base)
 }
 
 // buildPlan indexes a binary fleet file for the tests that need byte
